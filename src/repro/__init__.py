@@ -73,7 +73,7 @@ from repro.network import (
 )
 from repro.scenario import Scenario
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AnalysisContext",

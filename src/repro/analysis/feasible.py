@@ -18,8 +18,7 @@ subtracted from the server.  A key consequence (used by Theorems 10-12)
 is that the bound for a session in ``H_k`` depends only on the sessions
 in ``H_1, ..., H_{k-1}``.
 
-This module is the single owner of these constructions;
-``repro.core.feasible`` re-exports it for backward compatibility.
+This module is the single owner of these constructions.
 """
 
 from __future__ import annotations

@@ -17,8 +17,7 @@ geometric series.  The module implements the paper's default ``xi = 1``,
 the optimal ``xi`` of Remark (1) after Lemma 6, and the discrete-time
 variants used in the Section 6.3 numerical example (eqs. 66-67).
 
-This module is the single owner of these bounds;
-``repro.core.mgf`` re-exports it for backward compatibility.
+This module is the single owner of these bounds.
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ Theorems 11/12 use the partition-aware epsilon split
 Theorem 11, which makes every geometric factor in the denominator equal
 to ``1 - e^{-theta (g_i - rho_i)/k}``.
 
-This module is the single owner of these theorems;
-``repro.core.single_node`` re-exports it for backward compatibility.
+This module is the single owner of these theorems.
 """
 
 from __future__ import annotations

@@ -15,9 +15,6 @@ with deadness/hangness health checks
 from repro.online.cluster.cluster import (
     ClusterResult,
     ShardedOnlineCluster,
-    create_cluster,
-    open_cluster,
-    recover_cluster,
 )
 from repro.online.cluster.process import (
     ProcessShardSupervisor,
@@ -26,7 +23,6 @@ from repro.online.cluster.process import (
 from repro.online.cluster.routing import ShardRouter, shard_for
 from repro.online.cluster.shard import (
     ShardHandle,
-    ShardRecordSink,
     shard_directory,
 )
 from repro.online.cluster.supervisor import ShardSupervisor
@@ -37,12 +33,8 @@ __all__ = [
     "ShardedOnlineCluster",
     "ShardHandle",
     "ShardProcess",
-    "ShardRecordSink",
     "ShardRouter",
     "ShardSupervisor",
-    "create_cluster",
-    "open_cluster",
-    "recover_cluster",
     "shard_directory",
     "shard_for",
 ]

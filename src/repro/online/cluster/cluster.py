@@ -34,7 +34,6 @@ per-shard summaries plus one final ``cluster-summary`` record.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Iterable
@@ -63,9 +62,6 @@ from repro.utils.retry import RetryPolicy
 __all__ = [
     "ClusterResult",
     "ShardedOnlineCluster",
-    "create_cluster",
-    "recover_cluster",
-    "open_cluster",
 ]
 
 _CLUSTER_META = "cluster.json"
@@ -159,9 +155,7 @@ class ShardedOnlineCluster:
     """Route, supervise, and drain a fleet of durable shards.
 
     Construct via :meth:`ShardedOnlineCluster.open`; the constructor
-    wires already-built handles (the old ``create_cluster`` /
-    ``recover_cluster`` / ``open_cluster`` triple remains as
-    deprecated shims).
+    wires already-built handles.
     """
 
     @classmethod
@@ -621,84 +615,3 @@ def _open_cluster(
         **config_overrides,
     )
     return cluster, _fresh_reports(cluster.num_shards)
-
-
-# ----------------------------------------------------------------------
-# deprecated pre-unification entry points
-# ----------------------------------------------------------------------
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def create_cluster(
-    root: str | Path,
-    *,
-    num_shards: int,
-    rate: float,
-    sink: RecordSink | IO[str] | None = None,
-    crash_factory: Any = None,
-    **config_overrides: Any,
-) -> ShardedOnlineCluster:
-    """Deprecated: use ``ShardedOnlineCluster.open(root, mode="create")``.
-
-    Kept as a thin shim for one release; returns the bare cluster
-    (the unified factory also returns the fresh per-shard
-    :class:`RecoveryReport` tuple).
-    """
-    _deprecated(
-        "create_cluster",
-        "ShardedOnlineCluster.open(root, mode='create', ...)",
-    )
-    return _create_cluster(
-        Path(root),
-        num_shards=num_shards,
-        rate=rate,
-        sink=as_record_sink(sink),
-        crash_factory=crash_factory,
-        **config_overrides,
-    )
-
-
-def recover_cluster(
-    root: str | Path,
-    *,
-    sink: RecordSink | IO[str] | None = None,
-    crash_factory: Any = None,
-) -> tuple[ShardedOnlineCluster, tuple[RecoveryReport, ...]]:
-    """Deprecated: use ``ShardedOnlineCluster.open(root, mode="recover")``."""
-    _deprecated(
-        "recover_cluster",
-        "ShardedOnlineCluster.open(root, mode='recover', ...)",
-    )
-    return _recover_cluster(
-        Path(root), sink=as_record_sink(sink), crash_factory=crash_factory
-    )
-
-
-def open_cluster(
-    root: str | Path,
-    *,
-    num_shards: int | None = None,
-    rate: float | None = None,
-    sink: RecordSink | IO[str] | None = None,
-    crash_factory: Any = None,
-    **config_overrides: Any,
-) -> tuple[ShardedOnlineCluster, tuple[RecoveryReport, ...]]:
-    """Deprecated: use ``ShardedOnlineCluster.open(root, mode="attach")``."""
-    _deprecated(
-        "open_cluster",
-        "ShardedOnlineCluster.open(root, mode='attach', ...)",
-    )
-    return _open_cluster(
-        root,
-        mode="attach",
-        num_shards=num_shards,
-        rate=rate,
-        sink=sink,
-        crash_factory=crash_factory,
-        **config_overrides,
-    )

@@ -22,18 +22,15 @@ applied twice or skipped.
 
 from __future__ import annotations
 
-import json
-import warnings
 from collections import deque
 from pathlib import Path
-from typing import IO, Any
+from typing import Any
 
 from repro.errors import ValidationError
 
 __all__ = [
     "SHARD_DIR_PREFIX",
     "ShardHandle",
-    "ShardRecordSink",
     "shard_directory",
 ]
 
@@ -48,57 +45,6 @@ STOPPED = "stopped"
 def shard_directory(root: str | Path, index: int) -> Path:
     """The WAL directory of shard ``index`` under a cluster root."""
     return Path(root) / f"{SHARD_DIR_PREFIX}{index:03d}"
-
-
-class ShardRecordSink:
-    """Deprecated: use ``TaggedSink(sink, shard=index)``.
-
-    The old serialize/re-parse shard tagger: the durable service wrote
-    serialized JSON lines to its sink, so each line had to be re-parsed
-    and stamped with ``"shard": index`` before reaching the shared
-    stream.  The typed :class:`repro.online.records.TaggedSink` stamps
-    the structured record before it is ever serialized; this shim is
-    kept for one release for callers still holding raw text sinks.
-    """
-
-    def __init__(self, sink: IO[str], index: int) -> None:
-        warnings.warn(
-            "ShardRecordSink is deprecated; use "
-            "repro.online.records.TaggedSink(sink, shard=index)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._sink = sink
-        self._index = int(index)
-        self._buffer = ""
-
-    def write(self, text: str) -> None:
-        self._buffer += text
-        while True:
-            newline = self._buffer.find("\n")
-            if newline < 0:
-                return
-            line, self._buffer = (
-                self._buffer[:newline],
-                self._buffer[newline + 1 :],
-            )
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # Never let a malformed record break ingest; pass it
-                # through untagged.
-                self._sink.write(line + "\n")
-                continue
-            if isinstance(record, dict):
-                record["shard"] = self._index
-                self._sink.write(
-                    json.dumps(record, separators=(",", ":")) + "\n"
-                )
-            else:
-                self._sink.write(line + "\n")
-
-    def flush(self) -> None:
-        self._sink.flush()
 
 
 class ShardHandle:

@@ -34,7 +34,6 @@ needing exactly-once must deduplicate on the ``line`` sequence number.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Iterable
@@ -53,9 +52,6 @@ from repro.online.service import OnlineService
 __all__ = [
     "DurableOnlineService",
     "RecoveryReport",
-    "open_durable_service",
-    "create_durable_service",
-    "recover_durable_service",
 ]
 
 _META_NAME = "meta.json"
@@ -85,7 +81,7 @@ _CONFIG_DEFAULTS: dict[str, Any] = {
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """What :func:`recover_durable_service` reconstructed and from where."""
+    """What ``DurableOnlineService.open`` reconstructed and from where."""
 
     fresh: bool
     applied_seq: int
@@ -146,9 +142,7 @@ class DurableOnlineService(OnlineService):
 
     Construct via :meth:`DurableOnlineService.open` rather than
     directly — it wires the WAL, the snapshot store and the on-disk
-    metadata consistently (the old ``create_durable_service`` /
-    ``recover_durable_service`` / ``open_durable_service`` triple
-    remains as deprecated shims).
+    metadata consistently.
 
     Parameters (beyond :class:`OnlineService`)
     ------------------------------------------
@@ -696,85 +690,3 @@ def _open_durable(
         **config_overrides,
     )
     return service, _fresh_report()
-
-
-# ----------------------------------------------------------------------
-# deprecated pre-unification entry points
-# ----------------------------------------------------------------------
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def create_durable_service(
-    directory: str | Path,
-    *,
-    rate: float,
-    sink: RecordSink | IO[str] | None = None,
-    crash: Any = None,
-    **config_overrides: Any,
-) -> DurableOnlineService:
-    """Deprecated: use ``DurableOnlineService.open(dir, mode="create")``.
-
-    Kept as a thin shim for one release; returns the bare service
-    (the unified factory also returns the fresh
-    :class:`RecoveryReport`).
-    """
-    _deprecated(
-        "create_durable_service",
-        "DurableOnlineService.open(directory, mode='create', ...)",
-    )
-    return _create(
-        Path(directory),
-        rate=rate,
-        sink=sink,
-        crash=crash,
-        **config_overrides,
-    )
-
-
-def recover_durable_service(
-    directory: str | Path,
-    *,
-    sink: RecordSink | IO[str] | None = None,
-    crash: Any = None,
-    expected_rate: float | None = None,
-) -> tuple[DurableOnlineService, RecoveryReport]:
-    """Deprecated: use ``DurableOnlineService.open(dir, mode="recover")``.
-
-    The old ``expected_rate`` cross-check is the unified factory's
-    ``rate`` parameter.
-    """
-    _deprecated(
-        "recover_durable_service",
-        "DurableOnlineService.open(directory, mode='recover', ...)",
-    )
-    return _recover(
-        Path(directory), sink=sink, crash=crash, expected_rate=expected_rate
-    )
-
-
-def open_durable_service(
-    directory: str | Path,
-    *,
-    rate: float | None = None,
-    sink: RecordSink | IO[str] | None = None,
-    crash: Any = None,
-    **config_overrides: Any,
-) -> tuple[DurableOnlineService, RecoveryReport]:
-    """Deprecated: use ``DurableOnlineService.open(dir, mode="attach")``."""
-    _deprecated(
-        "open_durable_service",
-        "DurableOnlineService.open(directory, mode='attach', ...)",
-    )
-    return _open_durable(
-        directory,
-        mode="attach",
-        rate=rate,
-        sink=sink,
-        crash=crash,
-        **config_overrides,
-    )

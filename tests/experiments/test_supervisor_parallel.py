@@ -29,11 +29,6 @@ def _flaky_first_attempt(trial, seed):
 
 
 class TestConstructionShim:
-    def test_positional_form_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            runner = SupervisedRunner(_square_trial, 2)
-        assert runner.run().num_completed == 2
-
     def test_keyword_form_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -58,9 +53,8 @@ class TestConstructionShim:
             )
 
     def test_rejects_too_many_positional(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                SupervisedRunner(_square_trial, 2, 0)
+        with pytest.raises(TypeError):
+            SupervisedRunner(_square_trial, 2, 0)
 
     def test_rejects_bad_max_workers(self):
         with pytest.raises(ValidationError):

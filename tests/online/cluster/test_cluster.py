@@ -16,23 +16,10 @@ from repro.online import (
     StreamingGPSServer,
     TaggedSink,
 )
-from repro.online.cluster.shard import ShardHandle, ShardRecordSink
+from repro.online.cluster.shard import ShardHandle
 
 RATE = 4.0
 NAMES = ("a", "b", "c", "d", "e", "f")
-
-
-def create_cluster(root, **kwargs):
-    cluster, _ = ShardedOnlineCluster.open(root, mode="create", **kwargs)
-    return cluster
-
-
-def recover_cluster(root, **kwargs):
-    return ShardedOnlineCluster.open(root, mode="recover", **kwargs)
-
-
-def open_cluster(root, **kwargs):
-    return ShardedOnlineCluster.open(root, mode="attach", **kwargs)
 
 
 def _stream(n=80, seed=7):
@@ -84,8 +71,8 @@ def _assert_matches_partition(lines, result, num_shards):
 class TestHealthyCluster:
     def test_per_shard_equivalence(self, tmp_path):
         lines = _stream()
-        cluster = create_cluster(
-            tmp_path, num_shards=3, rate=RATE, snapshot_every=10
+        cluster, _ = ShardedOnlineCluster.open(
+            tmp_path, mode="create", num_shards=3, rate=RATE, snapshot_every=10
         )
         result = cluster.serve(lines)
         assert result.summary()["crashes"] == 0
@@ -93,7 +80,9 @@ class TestHealthyCluster:
 
     def test_single_shard_matches_plain_service(self, tmp_path):
         lines = _stream(n=40)
-        cluster = create_cluster(tmp_path, num_shards=1, rate=RATE)
+        cluster, _ = ShardedOnlineCluster.open(
+            tmp_path, mode="create", num_shards=1, rate=RATE
+        )
         result = cluster.serve(lines)
         base = OnlineService(StreamingGPSServer(rate=RATE)).serve(lines)
         assert np.array_equal(
@@ -104,8 +93,8 @@ class TestHealthyCluster:
     def test_records_are_shard_tagged(self, tmp_path):
         lines = _stream(n=30)
         sink = io.StringIO()
-        cluster = create_cluster(
-            tmp_path, num_shards=3, rate=RATE, sink=sink
+        cluster, _ = ShardedOnlineCluster.open(
+            tmp_path, mode="create", num_shards=3, rate=RATE, sink=sink
         )
         cluster.serve(lines)
         records = [
@@ -122,8 +111,8 @@ class TestHealthyCluster:
 
     def test_cluster_summary_record_is_emitted(self, tmp_path):
         sink = io.StringIO()
-        cluster = create_cluster(
-            tmp_path, num_shards=2, rate=RATE, sink=sink
+        cluster, _ = ShardedOnlineCluster.open(
+            tmp_path, mode="create", num_shards=2, rate=RATE, sink=sink
         )
         cluster.serve(_stream(n=20))
         kinds = [
@@ -134,8 +123,9 @@ class TestHealthyCluster:
 
     def test_cluster_heartbeat_records(self, tmp_path):
         sink = io.StringIO()
-        cluster = create_cluster(
+        cluster, _ = ShardedOnlineCluster.open(
             tmp_path,
+            mode="create",
             num_shards=2,
             rate=RATE,
             sink=sink,
@@ -158,39 +148,53 @@ class TestHealthyCluster:
 
 class TestClusterMetadata:
     def test_recreate_is_refused(self, tmp_path):
-        create_cluster(tmp_path, num_shards=2, rate=RATE)
+        ShardedOnlineCluster.open(
+            tmp_path, mode="create", num_shards=2, rate=RATE
+        )
         with pytest.raises(RecoveryError, match="already contains"):
-            create_cluster(tmp_path, num_shards=2, rate=RATE)
+            ShardedOnlineCluster.open(
+                tmp_path, mode="create", num_shards=2, rate=RATE
+            )
 
     def test_corrupt_cluster_meta_is_typed(self, tmp_path):
-        cluster = create_cluster(tmp_path, num_shards=2, rate=RATE)
+        cluster, _ = ShardedOnlineCluster.open(
+            tmp_path, mode="create", num_shards=2, rate=RATE
+        )
         cluster.serve(_stream(n=10))
         meta = tmp_path / "cluster.json"
         meta.write_bytes(b"deadbeef " + meta.read_bytes()[9:])
         with pytest.raises(RecoveryError, match="corrupt"):
-            recover_cluster(tmp_path)
+            ShardedOnlineCluster.open(tmp_path, mode="recover")
 
     def test_reshard_is_refused(self, tmp_path):
-        cluster = create_cluster(tmp_path, num_shards=2, rate=RATE)
+        cluster, _ = ShardedOnlineCluster.open(
+            tmp_path, mode="create", num_shards=2, rate=RATE
+        )
         cluster.serve(_stream(n=10))
         with pytest.raises(RecoveryError, match="resharding"):
-            open_cluster(tmp_path, num_shards=4)
+            ShardedOnlineCluster.open(tmp_path, mode="attach", num_shards=4)
 
     def test_rate_mismatch_is_refused(self, tmp_path):
-        cluster = create_cluster(tmp_path, num_shards=2, rate=RATE)
+        cluster, _ = ShardedOnlineCluster.open(
+            tmp_path, mode="create", num_shards=2, rate=RATE
+        )
         cluster.serve(_stream(n=10))
         with pytest.raises(RecoveryError, match="rate"):
-            open_cluster(tmp_path, num_shards=2, rate=RATE + 1.0)
+            ShardedOnlineCluster.open(
+                tmp_path, mode="attach", num_shards=2, rate=RATE + 1.0
+            )
 
     def test_open_requires_shards_and_rate_for_fresh_root(
         self, tmp_path
     ):
         with pytest.raises(RecoveryError, match="no cluster"):
-            open_cluster(tmp_path / "missing")
+            ShardedOnlineCluster.open(tmp_path / "missing", mode="attach")
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValidationError):
-            create_cluster(tmp_path, num_shards=0, rate=RATE)
+            ShardedOnlineCluster.open(
+                tmp_path, mode="create", num_shards=0, rate=RATE
+            )
 
 
 class TestColdRecovery:
@@ -198,14 +202,16 @@ class TestColdRecovery:
         self, tmp_path
     ):
         lines = _stream()
-        cluster = create_cluster(
-            tmp_path, num_shards=3, rate=RATE, snapshot_every=7
+        cluster, _ = ShardedOnlineCluster.open(
+            tmp_path, mode="create", num_shards=3, rate=RATE, snapshot_every=7
         )
         cluster.ingest(lines[:60])
         applied = [h.service.applied_seq for h in cluster.handles]
         # Simulate kill -9 of the whole process: drop the object,
         # recover from disk alone.
-        recovered, reports = recover_cluster(tmp_path)
+        recovered, reports = ShardedOnlineCluster.open(
+            tmp_path, mode="recover"
+        )
         assert [
             h.service.applied_seq for h in recovered.handles
         ] == applied
@@ -227,13 +233,13 @@ class TestColdRecovery:
 
     def test_open_cluster_resumes(self, tmp_path):
         lines = _stream(n=40)
-        cluster, reports = open_cluster(
-            tmp_path, num_shards=2, rate=RATE
+        cluster, reports = ShardedOnlineCluster.open(
+            tmp_path, mode="attach", num_shards=2, rate=RATE
         )
         assert all(r.fresh for r in reports)
         cluster.ingest(lines[:30])
         del cluster
-        resumed, reports = open_cluster(tmp_path)
+        resumed, reports = ShardedOnlineCluster.open(tmp_path, mode="attach")
         assert not any(r.fresh for r in reports)
         assert sum(r.applied_seq for r in reports) > 0
 
@@ -255,8 +261,9 @@ class TestDegradedMode:
             FaultSchedule([CrashFault(seq=2, point="pre-append")])
         )
         sink = io.StringIO()
-        cluster = create_cluster(
+        cluster, _ = ShardedOnlineCluster.open(
             tmp_path,
+            mode="create",
             num_shards=2,
             rate=RATE,
             sink=sink,
@@ -338,26 +345,7 @@ class TestDegradedMode:
         assert not handle.shedding
 
 
-class TestShardRecordSink:
-    def test_tags_complete_records(self):
-        out = io.StringIO()
-        with pytest.warns(DeprecationWarning, match="TaggedSink"):
-            sink = ShardRecordSink(out, 3)
-        sink.write('{"kind": "arrival"')
-        sink.write(', "line": 1}\n')
-        assert json.loads(out.getvalue()) == {
-            "kind": "arrival",
-            "line": 1,
-            "shard": 3,
-        }
-
-    def test_passes_malformed_lines_through(self):
-        out = io.StringIO()
-        with pytest.warns(DeprecationWarning, match="TaggedSink"):
-            sink = ShardRecordSink(out, 1)
-        sink.write("not json\n")
-        assert out.getvalue() == "not json\n"
-
+class TestTaggedSink:
     def test_tagged_sink_is_the_replacement(self):
         out = io.StringIO()
         sink = TaggedSink(JsonlSink(out), shard=3)
@@ -371,7 +359,9 @@ class TestShardRecordSink:
 
 class TestDrainConvergenceGuard:
     def test_failed_state_refuses_traffic(self, tmp_path):
-        cluster = create_cluster(tmp_path, num_shards=1, rate=RATE)
+        cluster, _ = ShardedOnlineCluster.open(
+            tmp_path, mode="create", num_shards=1, rate=RATE
+        )
         cluster.handles[0].state = "failed"
         with pytest.raises(ClusterError, match="failed"):
             cluster.ingest(

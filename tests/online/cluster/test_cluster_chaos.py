@@ -34,15 +34,6 @@ RATE = 4.0
 NAMES = ("a", "b", "c", "d", "e", "f")
 
 
-def create_cluster(root, **kwargs):
-    cluster, _ = ShardedOnlineCluster.open(root, mode="create", **kwargs)
-    return cluster
-
-
-def recover_cluster(root, **kwargs):
-    return ShardedOnlineCluster.open(root, mode="recover", **kwargs)
-
-
 def _stream(n=90, seed=11):
     lines = [
         json.dumps(
@@ -84,8 +75,9 @@ def _run_with_chaos(tmp_path, lines, schedules, **overrides):
         shard: CrashInjector(schedule)
         for shard, schedule in schedules.items()
     }
-    cluster = create_cluster(
+    cluster, _ = ShardedOnlineCluster.open(
         tmp_path,
+        mode="create",
         num_shards=num_shards,
         rate=RATE,
         snapshot_every=overrides.pop("snapshot_every", 10),
@@ -189,8 +181,9 @@ class TestClusterChaos:
             )
         )
         injector = CrashInjector(schedule)
-        cluster = create_cluster(
+        cluster, _ = ShardedOnlineCluster.open(
             tmp_path,
+            mode="create",
             num_shards=2,
             rate=RATE,
             max_retries=1,
@@ -204,14 +197,16 @@ class TestClusterChaos:
     def test_whole_cluster_kill_then_recover_and_resume(self, tmp_path):
         lines = _stream()
         cut = len(lines) // 2
-        cluster = create_cluster(
-            tmp_path, num_shards=3, rate=RATE, snapshot_every=8
+        cluster, _ = ShardedOnlineCluster.open(
+            tmp_path, mode="create", num_shards=3, rate=RATE, snapshot_every=8
         )
         cluster.ingest(lines[:cut])
         # kill -9 the entire fleet: nothing is flushed or drained, the
         # objects are simply abandoned.
         del cluster
-        recovered, reports = recover_cluster(tmp_path)
+        recovered, reports = ShardedOnlineCluster.open(
+            tmp_path, mode="recover"
+        )
         assert sum(r.replayed for r in reports) >= 0
         recovered.ingest(lines[cut:])
         result = recovered.shutdown()
@@ -231,8 +226,9 @@ class TestClusterChaos:
                 FaultSchedule((CrashFault(seq=5, point="pre-append"),))
             ),
         }
-        cluster = create_cluster(
+        cluster, _ = ShardedOnlineCluster.open(
             tmp_path,
+            mode="create",
             num_shards=3,
             rate=RATE,
             snapshot_every=8,
@@ -242,8 +238,8 @@ class TestClusterChaos:
         )
         cluster.ingest(lines[:cut])
         del cluster
-        recovered, _ = recover_cluster(
-            tmp_path, crash_factory=injectors.get
+        recovered, _ = ShardedOnlineCluster.open(
+            tmp_path, mode="recover", crash_factory=injectors.get
         )
         recovered.ingest(lines[cut:])
         result = recovered.shutdown()

@@ -31,10 +31,6 @@ from repro.online.cluster.process import (
 RATE = 3.0
 
 
-def recover_durable_service(directory, **kwargs):
-    return DurableOnlineService.open(directory, mode="recover", **kwargs)
-
-
 def _lines(n=30):
     lines = [
         json.dumps(
@@ -93,7 +89,9 @@ class TestSigkill:
             shard.kill()
             assert not shard.alive()
             # The WAL survives the kill; recovery replays it exactly.
-            service, report = recover_durable_service(wal_dir)
+            service, report = DurableOnlineService.open(
+                wal_dir, mode="recover"
+            )
             assert report.applied_seq == cut
             service.ingest(lines[cut:])
             result = service.shutdown()

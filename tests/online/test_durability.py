@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.admission import QoSTarget
+from repro.analysis.admission import QoSTarget
 from repro.core.ebb import EBB
 from repro.errors import (
     RecoveryError,
@@ -31,23 +31,6 @@ from repro.online.events import (
     SessionLeave,
     event_to_record,
 )
-
-
-def create_durable_service(directory, **kwargs):
-    service, _ = DurableOnlineService.open(
-        directory, mode="create", **kwargs
-    )
-    return service
-
-
-def recover_durable_service(directory, *, expected_rate=None, **kwargs):
-    return DurableOnlineService.open(
-        directory, mode="recover", rate=expected_rate, **kwargs
-    )
-
-
-def open_durable_service(directory, **kwargs):
-    return DurableOnlineService.open(directory, mode="attach", **kwargs)
 
 
 def _lines(events):
@@ -340,40 +323,44 @@ class TestStateExportImport:
 
 class TestDurableServiceLifecycle:
     def test_create_refuses_existing_session(self, tmp_path):
-        create_durable_service(tmp_path, rate=1.0)
+        DurableOnlineService.open(tmp_path, mode="create", rate=1.0)
         with pytest.raises(RecoveryError, match="already contains"):
-            create_durable_service(tmp_path, rate=1.0)
+            DurableOnlineService.open(tmp_path, mode="create", rate=1.0)
 
     def test_create_rejects_unknown_config(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown"):
-            create_durable_service(tmp_path, rate=1.0, snapshots_every=5)
+            DurableOnlineService.open(
+                tmp_path, mode="create", rate=1.0, snapshots_every=5
+            )
 
     def test_open_requires_rate_for_fresh_directory(self, tmp_path):
         with pytest.raises(RecoveryError, match="no rate"):
-            open_durable_service(tmp_path)
+            DurableOnlineService.open(tmp_path, mode="attach")
 
     def test_recover_rejects_contradictory_rate(self, tmp_path):
-        svc = create_durable_service(tmp_path, rate=2.0)
+        svc, _ = DurableOnlineService.open(tmp_path, mode="create", rate=2.0)
         svc.ingest(_stream(10))
         svc.wal.close()
         with pytest.raises(RecoveryError, match="contradicts"):
-            recover_durable_service(tmp_path, expected_rate=3.0)
+            DurableOnlineService.open(tmp_path, mode="recover", rate=3.0)
 
     def test_corrupt_meta_raises(self, tmp_path):
-        svc = create_durable_service(tmp_path, rate=2.0)
+        svc, _ = DurableOnlineService.open(tmp_path, mode="create", rate=2.0)
         svc.wal.close()
         (tmp_path / "meta.json").write_bytes(b"garbage")
         with pytest.raises(RecoveryError, match="metadata"):
-            recover_durable_service(tmp_path)
+            DurableOnlineService.open(tmp_path, mode="recover")
 
     def test_reopen_continues_sequence_numbers(self, tmp_path):
         lines = _stream(30)
-        svc = create_durable_service(
-            tmp_path, rate=2.0, snapshot_every=10
+        svc, _ = DurableOnlineService.open(
+            tmp_path, mode="create", rate=2.0, snapshot_every=10
         )
         svc.ingest(lines[:20])
         svc.wal.close()
-        svc2, report = open_durable_service(tmp_path, rate=2.0)
+        svc2, report = DurableOnlineService.open(
+            tmp_path, mode="attach", rate=2.0
+        )
         assert report.fresh is False
         assert report.applied_seq == 20
         svc2.ingest(lines[20:])
@@ -381,8 +368,9 @@ class TestDurableServiceLifecycle:
         svc2.shutdown()
 
     def test_snapshot_prunes_covered_wal_segments(self, tmp_path):
-        svc = create_durable_service(
+        svc, _ = DurableOnlineService.open(
             tmp_path,
+            mode="create",
             rate=2.0,
             snapshot_every=10,
             segment_events=5,
@@ -404,8 +392,8 @@ class TestDurableServiceLifecycle:
         )
         plain.serve(iter(lines))
         durable_sink = io.StringIO()
-        svc = create_durable_service(
-            tmp_path, rate=2.0, sink=durable_sink
+        svc, _ = DurableOnlineService.open(
+            tmp_path, mode="create", rate=2.0, sink=durable_sink
         )
         svc.serve(iter(lines))
         assert durable_sink.getvalue() == plain_sink.getvalue()
@@ -560,14 +548,18 @@ class TestPruneRotationBoundary:
         # exactly on a segment tail, the sharpest boundary case.  The
         # pruned directory must still recover to the identical state.
         lines = _stream(30)
-        svc = create_durable_service(
-            tmp_path, rate=2.0, snapshot_every=5, segment_events=5
+        svc, _ = DurableOnlineService.open(
+            tmp_path,
+            mode="create",
+            rate=2.0,
+            snapshot_every=5,
+            segment_events=5,
         )
         svc.ingest(lines)
         expected = json.loads(json.dumps(svc.engine.export_state()))
         applied = svc.applied_seq
         svc.wal.close()
-        recovered, report = recover_durable_service(tmp_path)
+        recovered, report = DurableOnlineService.open(tmp_path, mode="recover")
         assert report.applied_seq == applied
         assert (
             json.loads(json.dumps(recovered.engine.export_state()))
@@ -580,7 +572,9 @@ class TestRecoverErrorPaths:
     """`repro recover` fails loudly and precisely, never half-recovers."""
 
     def _session(self, tmp_path, n=30, **overrides):
-        svc = create_durable_service(tmp_path, rate=2.0, **overrides)
+        svc, _ = DurableOnlineService.open(
+            tmp_path, mode="create", rate=2.0, **overrides
+        )
         svc.ingest(_stream(n))
         svc.wal.close()
         return svc
@@ -593,7 +587,7 @@ class TestRecoverErrorPaths:
         # provably so, which must read as corruption, not as config.
         meta.write_bytes(b"00000000" + raw[8:])
         with pytest.raises(RecoveryError, match="corrupt"):
-            recover_durable_service(tmp_path)
+            DurableOnlineService.open(tmp_path, mode="recover")
 
     def test_corrupt_meta_fails_cli_with_exit_1(self, tmp_path):
         from repro.cli import main
@@ -628,7 +622,7 @@ class TestRecoverErrorPaths:
         with pytest.raises(
             RecoveryError, match="are missing"
         ) as excinfo:
-            recover_durable_service(tmp_path)
+            DurableOnlineService.open(tmp_path, mode="recover")
         assert "entries 1.." in str(excinfo.value)
 
     def test_wal_gap_message_names_the_missing_range(self, tmp_path):
@@ -655,4 +649,4 @@ class TestRecoverErrorPaths:
             RecoveryError,
             match=rf"entries {applied + 1}\.\.{gap_seq - 1} are missing",
         ):
-            recover_durable_service(tmp_path)
+            DurableOnlineService.open(tmp_path, mode="recover")

@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.admission import QoSTarget
+from repro.analysis.admission import QoSTarget
 from repro.core.ebb import EBB
 from repro.faults import (
     CRASH_POINTS,
@@ -37,17 +37,6 @@ from repro.online.events import (
 )
 
 RATE = 3.0
-
-
-def create_durable_service(directory, **kwargs):
-    service, _ = DurableOnlineService.open(
-        directory, mode="create", **kwargs
-    )
-    return service
-
-
-def recover_durable_service(directory, **kwargs):
-    return DurableOnlineService.open(directory, mode="recover", **kwargs)
 
 
 def _stream(n_slots=50, seed=3):
@@ -91,8 +80,9 @@ def _baseline(lines):
 def _run_with_crashes(tmp_path, lines, schedule):
     """Feed ``lines`` through a durable service, restarting on kills."""
     crash = CrashInjector(schedule)
-    service = create_durable_service(
+    service, _ = DurableOnlineService.open(
         tmp_path,
+        mode="create",
         rate=RATE,
         admission=True,
         snapshot_every=25,
@@ -106,7 +96,9 @@ def _run_with_crashes(tmp_path, lines, schedule):
         except SimulatedCrash:
             restarts += 1
             assert restarts < 50, "crash loop did not converge"
-            service, _ = recover_durable_service(tmp_path, crash=crash)
+            service, _ = DurableOnlineService.open(
+                tmp_path, mode="recover", crash=crash
+            )
     return service, service.shutdown(), restarts
 
 
@@ -154,8 +146,9 @@ class TestCrashPoints:
         crash = CrashInjector(
             FaultSchedule((CrashFault(seq=25, point="mid-snapshot"),))
         )
-        service = create_durable_service(
+        service, _ = DurableOnlineService.open(
             tmp_path,
+            mode="create",
             rate=RATE,
             admission=True,
             snapshot_every=25,
@@ -165,7 +158,9 @@ class TestCrashPoints:
             service.ingest(iter(lines))
         leftovers = list(tmp_path.glob("snap-*.tmp"))
         assert leftovers, "kill mid-snapshot must leave the tmp file"
-        service, report = recover_durable_service(tmp_path, crash=crash)
+        service, report = DurableOnlineService.open(
+            tmp_path, mode="recover", crash=crash
+        )
         assert report.applied_seq == 25
         # The half-written snapshot is never loaded as state.
         assert report.snapshot_seq is None or report.snapshot_seq < 25
@@ -204,14 +199,18 @@ class TestCrashFuzz:
 class TestTornTailRecovery:
     def test_torn_tail_is_truncated_not_applied(self, tmp_path):
         lines = _stream()
-        service = create_durable_service(
-            tmp_path, rate=RATE, admission=True, snapshot_every=25
+        service, _ = DurableOnlineService.open(
+            tmp_path,
+            mode="create",
+            rate=RATE,
+            admission=True,
+            snapshot_every=25,
         )
         service.ingest(iter(lines[:60]))
         service.wal.close()
         segment = sorted(tmp_path.glob("wal-*.log"))[-1]
         segment.write_bytes(segment.read_bytes()[:-7])
-        service, report = recover_durable_service(tmp_path)
+        service, report = DurableOnlineService.open(tmp_path, mode="recover")
         assert report.truncated_bytes > 0
         assert report.applied_seq == 59
         # The lost line is simply re-ingested by the upstream feeder.

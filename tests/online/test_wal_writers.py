@@ -27,6 +27,7 @@ from repro.faults import (
     FaultSchedule,
     SimulatedCrash,
 )
+from repro.online.durability import DurableOnlineService
 from repro.online.durability import wal as wal_module
 from repro.online.durability import writers as writers_module
 from repro.online.durability.wal import WriteAheadLog
@@ -43,8 +44,6 @@ from tests.online.test_recovery_chaos import (
     _assert_equivalent,
     _baseline,
     _stream,
-    create_durable_service,
-    recover_durable_service,
 )
 
 
@@ -511,8 +510,9 @@ class TestWriterChaos:
         crash = CrashInjector(
             FaultSchedule((CrashFault(seq=45, point="post-append"),))
         )
-        service = create_durable_service(
+        service, _ = DurableOnlineService.open(
             tmp_path,
+            mode="create",
             rate=RATE,
             admission=True,
             snapshot_every=25,
@@ -527,7 +527,9 @@ class TestWriterChaos:
         durable_at_crash = service.durable_seq
         assert acked == 45
         assert service.applied_seq == 44
-        service, report = recover_durable_service(tmp_path, crash=crash)
+        service, report = DurableOnlineService.open(
+            tmp_path, mode="recover", crash=crash
+        )
         # Every acknowledged append survived the kill, and the fsync
         # watermark never ran ahead of what recovery replays.
         assert report.applied_seq == acked
@@ -541,8 +543,9 @@ class TestWriterChaos:
         the caller restating ``fsync``."""
         lines = _stream()
         base_svc, base = _baseline(lines)
-        service = create_durable_service(
+        service, _ = DurableOnlineService.open(
             tmp_path,
+            mode="create",
             rate=RATE,
             admission=True,
             snapshot_every=25,
@@ -550,7 +553,7 @@ class TestWriterChaos:
         )
         service.ingest(iter(lines[:50]))
         service.wal.close()
-        service, report = recover_durable_service(tmp_path)
+        service, report = DurableOnlineService.open(tmp_path, mode="recover")
         assert service.wal.fsync_policy == "group:4ms"
         service.ingest(iter(lines[report.applied_seq :]))
         result = service.shutdown()
@@ -559,8 +562,9 @@ class TestWriterChaos:
     @staticmethod
     def _run(tmp_path, lines, schedule, fsync, **kwargs):
         crash = CrashInjector(schedule)
-        service = create_durable_service(
+        service, _ = DurableOnlineService.open(
             tmp_path,
+            mode="create",
             rate=RATE,
             admission=True,
             snapshot_every=25,
@@ -576,7 +580,7 @@ class TestWriterChaos:
             except SimulatedCrash:
                 restarts += 1
                 assert restarts < 50, "crash loop did not converge"
-                service, _ = recover_durable_service(
-                    tmp_path, crash=crash
+                service, _ = DurableOnlineService.open(
+                    tmp_path, mode="recover", crash=crash
                 )
         return service, service.shutdown(), restarts

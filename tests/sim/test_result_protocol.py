@@ -115,12 +115,6 @@ class TestToJsonable:
 
 
 class TestFluidServerShim:
-    def test_positional_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            server = FluidGPSServer(1.0, [1.0, 2.0])
-        assert server.rate == 1.0
-        assert server.num_sessions == 2
-
     def test_keyword_form_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -133,9 +127,8 @@ class TestFluidServerShim:
             FluidGPSServer(phis=[1.0])
 
     def test_positional_and_keyword_mix_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                FluidGPSServer(1.0, [1.0], rate=2.0)
+        with pytest.raises(TypeError):
+            FluidGPSServer(1.0, [1.0], rate=2.0)
 
     def test_validation_hoisted_to_construction(self):
         with pytest.raises(ValidationError):

@@ -10,6 +10,11 @@ import inspect
 
 import pytest
 
+from repro.core.ebb import EBB
+from repro.experiments.supervisor import SupervisedRunner
+from repro.network.builders import ring_network, tandem_network, tree_network
+from repro.sim.fluid import FluidGPSServer
+
 PACKAGES = [
     "repro",
     "repro.analysis",
@@ -36,17 +41,13 @@ MODULES = [
     "repro.analysis.incremental",
     "repro.analysis.mgf",
     "repro.analysis.single_node",
-    "repro.core.admission",
     "repro.core.bounds",
     "repro.core.decomposition",
     "repro.core.ebb",
-    "repro.core.feasible",
     "repro.core.gps",
     "repro.core.holder",
-    "repro.core.mgf",
     "repro.core.pgps",
     "repro.core.rpps",
-    "repro.core.single_node",
     "repro.deterministic.all_greedy",
     "repro.deterministic.network",
     "repro.deterministic.parekh_gallager",
@@ -140,4 +141,109 @@ def test_public_callables_documented(name):
 def test_main_package_version():
     import repro
 
-    assert repro.__version__ == "1.0.0"
+    assert repro.__version__ == "2.0.0"
+
+
+# ----------------------------------------------------------------------
+# The pre-2.0 spellings are gone: one spelling per entry point
+# ----------------------------------------------------------------------
+REMOVED_MODULES = [
+    "repro.core.admission",
+    "repro.core.feasible",
+    "repro.core.mgf",
+    "repro.core.single_node",
+]
+
+#: Names ``repro.core`` used to forward to ``repro.analysis``.
+MOVED_TO_ANALYSIS = [
+    "QoSTarget",
+    "meets_target",
+    "required_rate_for_delay",
+    "admissible",
+    "max_admissible_copies",
+    "FeasibleOrderingError",
+    "is_feasible_ordering",
+    "find_feasible_ordering",
+    "all_feasible_orderings",
+    "FeasiblePartition",
+    "feasible_partition",
+    "VirtualQueue",
+    "bucket_delta_tail_bound",
+    "discrete_delta_tail_bound",
+    "lemma5_tail_bound",
+    "lemma6_log_mgf_bound",
+    "lemma6_optimal_xi",
+    "SessionBoundFamily",
+    "SessionBounds",
+    "best_partition_family",
+    "theorem7_family",
+    "theorem8_family",
+    "theorem10_bounds",
+    "theorem11_family",
+    "theorem12_family",
+]
+
+#: The factory triples ``open(mode=...)`` replaced, and the re-parse
+#: shard tagger ``TaggedSink`` replaced.
+REMOVED_FACTORIES = [
+    "create_durable_service",
+    "recover_durable_service",
+    "open_durable_service",
+    "create_cluster",
+    "recover_cluster",
+    "open_cluster",
+    "ShardRecordSink",
+]
+
+
+@pytest.mark.parametrize("name", REMOVED_MODULES)
+def test_removed_module_is_gone(name):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(name)
+
+
+@pytest.mark.parametrize(
+    "package",
+    [
+        "repro.core",
+        "repro.online",
+        "repro.online.durability",
+        "repro.online.durability.service",
+        "repro.online.cluster",
+        "repro.online.cluster.cluster",
+        "repro.online.cluster.shard",
+    ],
+)
+def test_removed_names_are_absent(package):
+    module = importlib.import_module(package)
+    for symbol in MOVED_TO_ANALYSIS + REMOVED_FACTORIES:
+        assert not hasattr(module, symbol), f"{package}.{symbol} remains"
+        assert symbol not in module.__all__
+
+
+def _trial(trial, seed):
+    return trial
+
+
+_EBB = EBB(0.2, 1.0, 1.5)
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        pytest.param(
+            lambda: FluidGPSServer(1.0, [1.0]), id="FluidGPSServer"
+        ),
+        pytest.param(
+            lambda: SupervisedRunner(_trial, 4), id="SupervisedRunner"
+        ),
+        pytest.param(lambda: ring_network(4, _EBB), id="ring_network"),
+        pytest.param(
+            lambda: tandem_network(2, _EBB, _EBB), id="tandem_network"
+        ),
+        pytest.param(lambda: tree_network([[_EBB]]), id="tree_network"),
+    ],
+)
+def test_positional_construction_is_rejected(construct):
+    with pytest.raises(TypeError):
+        construct()
