@@ -182,7 +182,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
+        "usable_cores": len(os.sched_getaffinity(0)),
         "throughput": rows,
         "speedup_at_max_sessions": rows[-1]["speedup"] if rows else None,
     }

@@ -146,7 +146,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
+        "usable_cores": len(os.sched_getaffinity(0)),
         "num_sessions": args.sessions,
         "num_arrivals": args.arrivals,
         "throughput": rows,

@@ -231,7 +231,7 @@ def main() -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
+        "usable_cores": len(os.sched_getaffinity(0)),
         "quick": bool(args.quick),
         "fluid": fluid_rows,
         "supervised": supervised,

@@ -209,7 +209,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
+        "usable_cores": len(os.sched_getaffinity(0)),
         "busy_pool": args.busy,
         "throughput": rows,
     }

@@ -199,7 +199,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
+        "usable_cores": len(os.sched_getaffinity(0)),
         "oracle_max_packets": args.oracle_max,
         "load": args.load,
         "engine_speedup_1m": headline,

@@ -15,8 +15,6 @@ service over one JSONL arrival stream under every durability policy:
   into one fsync (exposure bounded in *time*, not just count);
 * **budget:5ms** — latency budget: no acked frame sits unsynced past
   the budget;
-* **async** — a background thread fsyncs behind the appends
-  (``wait_durable`` gives the power-loss ack);
 * **always** — fsync per append (classic power-loss-safe WAL
   semantics; the upper bound on the tax).
 
@@ -158,7 +156,6 @@ def main() -> int:
         "batch",
         "group",
         "budget:5ms",
-        "async",
         "always",
     ):
         row = bench_config(lines, fsync, args.batch_events)
@@ -177,7 +174,7 @@ def main() -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
+        "usable_cores": len(os.sched_getaffinity(0)),
         "quick": bool(args.quick),
         "batch_events": args.batch_events,
         "throughput": rows,

@@ -31,17 +31,10 @@ from repro.online.durability.service import (
     RecoveryReport,
 )
 from repro.online.durability.snapshot import SNAPSHOT_FORMAT, SnapshotStore
-from repro.online.durability.wal import (
-    FSYNC_POLICIES,
-    WalEntry,
-    WriteAheadLog,
-)
+from repro.online.durability.wal import WalEntry, WriteAheadLog
 from repro.online.durability.writers import (
     FSYNC_POLICY_BASES,
-    AsyncWalWriter,
-    GroupCommitWalWriter,
-    LatencyBudgetWalWriter,
-    SyncWalWriter,
+    BoundedWalWriter,
     WalWriter,
     make_wal_writer,
     parse_fsync_policy,
@@ -54,13 +47,9 @@ __all__ = [
     "SNAPSHOT_FORMAT",
     "WriteAheadLog",
     "WalEntry",
-    "FSYNC_POLICIES",
     "FSYNC_POLICY_BASES",
     "WalWriter",
-    "SyncWalWriter",
-    "GroupCommitWalWriter",
-    "LatencyBudgetWalWriter",
-    "AsyncWalWriter",
+    "BoundedWalWriter",
     "make_wal_writer",
     "parse_fsync_policy",
     "ScrubReport",

@@ -210,15 +210,11 @@ class DurableOnlineService(OnlineService):
         """Highest ingest sequence number covered by a completed fsync.
 
         Every applied line is OS-flushed (process-crash safe); this is
-        the stronger power-loss-safe watermark, relevant under the
-        ``group``/``budget``/``async`` fsync policies where the fsync
-        trails the append.
+        the stronger power-loss-safe watermark.  It trails the append
+        by up to one commit window under ``batch``, ``group`` and
+        ``budget``, and stays 0 under ``never``.
         """
         return self._wal.durable_seq
-
-    def wait_durable(self, seq: int, timeout: float | None = None) -> bool:
-        """Block until ingest sequence ``seq`` is fsync-covered."""
-        return self._wal.wait_durable(seq, timeout)
 
     @property
     def disk_pressure(self) -> bool:

@@ -38,10 +38,7 @@ policy specs are:
 * ``"group"`` / ``"group:<window>ms"`` — group commit: appends within
   a short window share one ``fdatasync``;
 * ``"budget"`` / ``"budget:<budget>ms"`` — latency budget: the oldest
-  unsynced append is never older than the budget;
-* ``"async"`` — a background thread fsyncs behind appends with a
-  bounded unsynced window; durability acks via :attr:`durable_seq` /
-  :meth:`WriteAheadLog.wait_durable`.
+  unsynced append is never older than the budget.
 
 All policies write and flush each frame to the operating system
 immediately, so an in-process crash (the :class:`SimulatedCrash` of
@@ -96,14 +93,8 @@ from repro.online.durability.writers import (
 __all__ = [
     "WalEntry",
     "WriteAheadLog",
-    "FSYNC_POLICIES",
     "SEGMENT_PREFIX",
 ]
-
-#: The classic fsync policies (kept for compatibility); the full spec
-#: grammar — including ``group``/``budget``/``async`` — lives in
-#: :mod:`repro.online.durability.writers`.
-FSYNC_POLICIES: tuple[str, ...] = ("always", "batch", "never")
 
 _log = logging.getLogger("repro.online.durability")
 
@@ -248,7 +239,6 @@ class WriteAheadLog:
             self._fsync = str(fsync)
         self._dir = Path(directory)
         self._segment_events = int(segment_events)
-        self._batch_events = int(batch_events)
         self._io = io  # fault-injection filesystem (FaultyFS) or None
         self._handle: IO[bytes] | None = None
         self._segment_path: Path | None = None
@@ -321,15 +311,6 @@ class WriteAheadLog:
     def pending_frames(self) -> int:
         """Appended frames not yet known fsync-covered (repair buffer)."""
         return len(self._pending)
-
-    def wait_durable(self, seq: int, timeout: float | None = None) -> bool:
-        """Block until ``seq`` is fsync-covered; return whether it is.
-
-        Synchronous policies force the covering sync inline; the
-        ``async`` policy waits on its background thread.  ``"never"``
-        returns ``False`` for any appended-but-unsynced sequence.
-        """
-        return self._writer.wait_durable(seq, timeout)
 
     def _segments(self) -> list[Path]:
         if not self._dir.is_dir():
@@ -535,13 +516,13 @@ class WriteAheadLog:
             )
             self._handle = self._open(self._segment_path, "ab")
             self._writer.attach(self._handle)
-            if self._writer.policy != "never":
+            if self._writer.fsyncs:
                 _fsync_dir(self._dir)
         return self._handle
 
     def _drop_durable_pending(self) -> None:
         """Release retained frames the writer now covers with an fsync."""
-        if self._writer.policy == "never":
+        if not self._writer.fsyncs:
             # Nothing will ever cover these; retaining them would only
             # grow memory without enabling any repair.
             self._pending.clear()
@@ -674,8 +655,7 @@ class WriteAheadLog:
         """Flush and (policy permitting) fsync the open segment.
 
         A durability barrier for every policy except ``"never"``: on
-        return, all appended frames are fsync-covered (the ``async``
-        writer blocks here until its thread catches up).
+        return, all appended frames are fsync-covered.
         """
         if self._handle is None:
             return
@@ -687,7 +667,7 @@ class WriteAheadLog:
         self._drop_durable_pending()
 
     def close(self) -> None:
-        """Sync and close the open segment; tear down the writer."""
+        """Sync and close the open segment."""
         if self._handle is not None:
             try:
                 self._handle.flush()
@@ -706,7 +686,7 @@ class WriteAheadLog:
                 self._handle = None
         self._segment_path = None
         self._pending.clear()
-        self._writer.close()
+        self._writer.abandon()
 
     # ------------------------------------------------------------------
     # pruning

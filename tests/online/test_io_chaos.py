@@ -32,7 +32,7 @@ from tests.online.test_recovery_chaos import (
 )
 
 #: Every WAL writer the fault schedules must hold for.
-POLICIES = ["always", "batch", "group:1ms", "budget:1ms", "async"]
+POLICIES = ["always", "batch", "group:1ms", "budget:1ms"]
 
 
 class _ListSink:

@@ -3,24 +3,22 @@
 Two layers of coverage:
 
 * writer-level unit tests with an injectable clock and a counting
-  fsync, pinning the commit points of every policy (group window /
-  count boundary, latency budget, async drain, ack semantics);
-* the chaos harness from ``test_recovery_chaos`` re-run over the new
-  writer paths — kills at group-commit window boundaries and during
-  the async writer's queue drain — asserting ``np.array_equal``
-  recovery equivalence and that no acknowledged append is ever lost.
+  fsync, pinning the commit points of every policy (count bound,
+  group window, latency budget, ack semantics);
+* the chaos harness from ``test_recovery_chaos`` re-run over the
+  coalescing policies — kills at group-commit window boundaries —
+  asserting ``np.array_equal`` recovery equivalence and that no
+  acknowledged append is ever lost.
 """
 
+import ast
 import json
 import logging
-import os
-import threading
-import time
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.errors import RecoveryError, ValidationError
+from repro.errors import ValidationError
 from repro.faults import (
     CrashFault,
     CrashInjector,
@@ -28,14 +26,13 @@ from repro.faults import (
     SimulatedCrash,
 )
 from repro.online.durability import DurableOnlineService
+from repro.online.durability import service as service_module
 from repro.online.durability import wal as wal_module
 from repro.online.durability import writers as writers_module
 from repro.online.durability.wal import WriteAheadLog
 from repro.online.durability.writers import (
-    AsyncWalWriter,
-    GroupCommitWalWriter,
-    LatencyBudgetWalWriter,
-    SyncWalWriter,
+    BoundedWalWriter,
+    WalWriter,
     make_wal_writer,
     parse_fsync_policy,
 )
@@ -103,7 +100,7 @@ class TestPolicyGrammar:
             ("group:10", ("group", 0.010)),
             ("budget:5ms", ("budget", 0.005)),
             ("budget:0.25s", ("budget", 0.25)),
-            ("async", ("async", None)),
+            ("async", ("batch", None)),
         ],
     )
     def test_valid_specs(self, spec, expected):
@@ -144,16 +141,38 @@ class TestPolicyGrammar:
 
     def test_factory_policies(self):
         assert make_wal_writer("always").policy == "always"
-        assert make_wal_writer("group:7ms").window == pytest.approx(0.007)
-        assert make_wal_writer("budget:3ms").budget == pytest.approx(0.003)
-        assert isinstance(make_wal_writer("async"), AsyncWalWriter)
+        assert make_wal_writer("group:7ms").max_delay == pytest.approx(0.007)
+        assert make_wal_writer("budget:3ms").max_delay == pytest.approx(0.003)
+        assert make_wal_writer("async").policy == "batch"
         with pytest.raises(ValidationError):
             make_wal_writer("bogus")
+
+    @pytest.mark.parametrize(
+        "spec,max_count,max_delay",
+        [
+            ("always", 1, None),
+            ("batch", 256, None),
+            ("never", None, None),
+            ("group", 256, 0.002),
+            ("group:4ms", 256, 0.004),
+            ("budget", None, 0.005),
+            ("budget:3ms", None, 0.003),
+        ],
+    )
+    def test_specs_map_onto_count_and_delay_bounds(
+        self, spec, max_count, max_delay
+    ):
+        writer = make_wal_writer(spec)
+        assert writer.max_count == max_count
+        assert writer.max_delay == (
+            None if max_delay is None else pytest.approx(max_delay)
+        )
+        assert writer.fsyncs == (spec != "never")
 
 
 class TestSyncWalWriter:
     def test_always_syncs_every_append(self, counting, monkeypatch):
-        w = _counted(SyncWalWriter("always"), counting, monkeypatch)
+        w = _counted(make_wal_writer("always"), counting, monkeypatch)
         for seq in range(1, 6):
             w.on_append(seq)
         assert counting.syncs == 5
@@ -161,7 +180,7 @@ class TestSyncWalWriter:
 
     def test_batch_syncs_at_threshold(self, counting, monkeypatch):
         w = _counted(
-            SyncWalWriter("batch", batch_events=4), counting, monkeypatch
+            make_wal_writer("batch", batch_events=4), counting, monkeypatch
         )
         for seq in range(1, 4):
             w.on_append(seq)
@@ -172,13 +191,30 @@ class TestSyncWalWriter:
         assert w.durable_seq == 4
 
     def test_never_syncs_nothing(self, counting, monkeypatch):
-        w = _counted(SyncWalWriter("never"), counting, monkeypatch)
+        w = _counted(make_wal_writer("never"), counting, monkeypatch)
         for seq in range(1, 10):
             w.on_append(seq)
         w.sync()
         assert counting.syncs == 0
         assert w.durable_seq == 0
-        assert not w.wait_durable(1)
+
+    @pytest.mark.parametrize("spec", ["always", "batch"])
+    def test_count_bounded_appends_never_read_the_clock(
+        self, counting, monkeypatch, spec
+    ):
+        def no_clock():
+            raise AssertionError(f"{spec} append read the clock")
+
+        w = _counted(
+            BoundedWalWriter(
+                spec, max_count=1 if spec == "always" else 4, clock=no_clock
+            ),
+            counting,
+            monkeypatch,
+        )
+        for seq in range(1, 9):
+            w.on_append(seq)
+        assert w.durable_seq == 8
 
 
 class TestGroupCommitWriter:
@@ -187,7 +223,9 @@ class TestGroupCommitWriter:
     ):
         clock = FakeClock()
         w = _counted(
-            GroupCommitWalWriter(window=0.002, clock=clock),
+            BoundedWalWriter(
+                "group", max_count=256, max_delay=0.002, clock=clock
+            ),
             counting,
             monkeypatch,
         )
@@ -205,8 +243,8 @@ class TestGroupCommitWriter:
     def test_count_boundary_triggers_fsync(self, counting, monkeypatch):
         clock = FakeClock()
         w = _counted(
-            GroupCommitWalWriter(
-                window=10.0, max_pending=3, clock=clock
+            BoundedWalWriter(
+                "group", max_count=3, max_delay=10.0, clock=clock
             ),
             counting,
             monkeypatch,
@@ -221,7 +259,9 @@ class TestGroupCommitWriter:
     def test_explicit_sync_closes_window(self, counting, monkeypatch):
         clock = FakeClock()
         w = _counted(
-            GroupCommitWalWriter(window=10.0, clock=clock),
+            BoundedWalWriter(
+                "group", max_count=256, max_delay=10.0, clock=clock
+            ),
             counting,
             monkeypatch,
         )
@@ -233,16 +273,16 @@ class TestGroupCommitWriter:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
-            GroupCommitWalWriter(window=0.0)
+            BoundedWalWriter("group", max_count=256, max_delay=0.0)
         with pytest.raises(ValidationError):
-            GroupCommitWalWriter(max_pending=0)
+            BoundedWalWriter("group", max_count=0, max_delay=0.002)
 
 
 class TestLatencyBudgetWriter:
     def test_oldest_pending_age_bounds_fsync(self, counting, monkeypatch):
         clock = FakeClock()
         w = _counted(
-            LatencyBudgetWalWriter(budget=0.005, clock=clock),
+            BoundedWalWriter("budget", max_delay=0.005, clock=clock),
             counting,
             monkeypatch,
         )
@@ -260,143 +300,91 @@ class TestLatencyBudgetWriter:
 
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValidationError):
-            LatencyBudgetWalWriter(budget=0.0)
+            BoundedWalWriter("budget", max_delay=0.0)
 
 
-class TestAsyncWriter:
-    def test_durable_seq_catches_up(self, counting):
-        w = AsyncWalWriter()
-        w.attach(counting.handle)
-        try:
-            for seq in range(1, 51):
-                w.on_append(seq)
-            assert w.wait_durable(50, timeout=5.0)
-            assert w.durable_seq == 50
-        finally:
-            w.close()
+#: Inter-append gaps (ms) crossing a 2ms delay bound in every way: runs
+#: inside it, landing exactly on it, jumping past it, idle stretches.
+_GAPS_MS = [0.0, 0.5, 0.5, 1.0, 0.3, 3.0, 0.0, 2.0, 0.1, 1.9, 0.05, 7.0,
+            0.2, 0.2, 0.2, 0.2, 1.5, 0.4, 0.0, 0.0, 2.5, 1.0, 1.0, 0.99]
 
-    def test_sync_is_a_full_barrier(self, counting):
-        w = AsyncWalWriter()
-        w.attach(counting.handle)
-        try:
-            for seq in range(1, 11):
-                w.on_append(seq)
-            w.sync()
-            assert w.durable_seq == 10
-            assert w.unsynced == 0
-        finally:
-            w.close()
 
-    def test_backpressure_bounds_unsynced(self, counting, monkeypatch):
-        gate = threading.Event()
+class TestGroupBudgetEquivalence:
+    """``budget:X`` is ``group:X`` without the count cap.
 
-        def slow_sync(fd):
-            gate.wait(timeout=5.0)
+    This equivalence is what lets one writer serve both spellings: with
+    a count cap the appends never reach, both produce the same fsyncs.
+    """
 
-        monkeypatch.setattr(writers_module, "_fdatasync", slow_sync)
-        w = AsyncWalWriter(max_unsynced=4)
-        w.attach(counting.handle)
-        try:
-            appended = []
+    @pytest.mark.parametrize("delay_ms", [1, 2, 5])
+    def test_same_fsync_points(self, tmp_path, monkeypatch, delay_ms):
+        points = {}
+        for spec in (f"group:{delay_ms}ms", f"budget:{delay_ms}ms"):
+            counting = CountingHandle(tmp_path)
+            clock = FakeClock()
+            base, delay = parse_fsync_policy(spec)
+            writer = _counted(
+                BoundedWalWriter(
+                    base,
+                    max_count=10**9 if base == "group" else None,
+                    max_delay=delay,
+                    clock=clock,
+                ),
+                counting,
+                monkeypatch,
+            )
+            synced_at = []
+            for seq, gap in enumerate(_GAPS_MS, start=1):
+                clock.advance(gap * 1e-3)
+                before = counting.syncs
+                writer.on_append(seq)
+                if counting.syncs > before:
+                    synced_at.append(seq)
+            counting.close()
+            points[base] = synced_at
+        assert points["group"], "the schedule must trigger the delay bound"
+        assert points["group"] == points["budget"]
 
-            def feeder():
-                for seq in range(1, 20):
-                    w.on_append(seq)
-                    appended.append(seq)
 
-            t = threading.Thread(target=feeder)
-            t.start()
-            time.sleep(0.1)
-            # The fsync thread is stalled on the gate, so the feeder
-            # must be blocked with at most max_unsynced + the one
-            # in-flight batch outstanding.
-            assert len(appended) < 19
-            gate.set()
-            t.join(timeout=5.0)
-            assert not t.is_alive()
-            assert len(appended) == 19
-            assert w.wait_durable(19, timeout=5.0)
-        finally:
-            gate.set()
-            w.close()
+class TestWriterModule:
+    """One writer class, and no background thread behind it."""
 
-    def test_fsync_failure_surfaces_on_ingest_thread(
-        self, counting, monkeypatch
-    ):
-        def broken(fd):
-            raise OSError(5, "injected I/O error")
+    def test_exactly_one_concrete_writer(self):
+        concrete = [
+            cls
+            for cls in vars(writers_module).values()
+            if isinstance(cls, type)
+            and issubclass(cls, WalWriter)
+            and cls is not WalWriter
+        ]
+        assert concrete == [BoundedWalWriter]
+        assert "sync" in BoundedWalWriter.__dict__
 
-        monkeypatch.setattr(writers_module, "_fdatasync", broken)
-        w = AsyncWalWriter()
-        w.attach(counting.handle)
-        with pytest.raises(RecoveryError, match="injected I/O error"):
-            # The stashed thread error re-raises on a later call.
-            for seq in range(1, 2000):
-                w.on_append(seq)
-                time.sleep(0.001)
-        w.close()
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValidationError):
-            AsyncWalWriter(max_unsynced=0)
-
-    def test_close_after_writer_thread_death(self, counting, monkeypatch):
-        def broken(fd):
-            raise OSError(5, "injected I/O error")
-
-        monkeypatch.setattr(writers_module, "_fdatasync", broken)
-        w = AsyncWalWriter()
-        w.attach(counting.handle)
-        w.on_append(1)
-        # The fsync thread dies storing the error; wait for it.
-        assert w._thread is not None
-        w._thread.join(timeout=5.0)
-        assert not w._thread.is_alive()
-        # close() must neither hang nor raise: the stashed error
-        # belongs to on_append/sync callers, teardown just releases
-        # the dup'd descriptor and the dead thread.
-        w.close()
-        assert w._thread is None
-
-    def test_abandon_after_thread_death_allows_reattach(
-        self, counting, monkeypatch, tmp_path
-    ):
-        def broken(fd):
-            raise OSError(5, "injected I/O error")
-
-        monkeypatch.setattr(writers_module, "_fdatasync", broken)
-        w = AsyncWalWriter()
-        w.attach(counting.handle)
-        w.on_append(1)
-        assert w._thread is not None
-        w._thread.join(timeout=5.0)
-        w.abandon()
-        monkeypatch.setattr(writers_module, "_fdatasync", os.fdatasync)
-        with open(tmp_path / "wal-reborn.log", "ab") as handle:
-            w.attach(handle)
-            try:
-                w.on_append(2)
-                w.sync()
-                assert w.durable_seq == 2
-            finally:
-                w.close()
-
-    def test_attach_twice_rejected(self, counting, tmp_path):
-        w = AsyncWalWriter()
-        w.attach(counting.handle)
-        try:
-            with open(tmp_path / "other.log", "ab") as other:
-                with pytest.raises(ValidationError):
-                    w.attach(other)
-        finally:
-            w.close()
+    @pytest.mark.parametrize(
+        "source",
+        sorted(Path(writers_module.__file__).parent.glob("*.py")),
+        ids=lambda path: path.name,
+    )
+    def test_no_threading(self, source):
+        tree = ast.parse(source.read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        } | {
+            node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+        }
+        assert "threading" not in imported
 
 
 class TestWalIntegration:
     """WriteAheadLog wired to each writer: rotation, recovery, acks."""
 
     @pytest.mark.parametrize(
-        "fsync", ["always", "batch", "never", "group", "budget:5ms", "async"]
+        "fsync", ["always", "batch", "never", "group", "budget:5ms"]
     )
     def test_roundtrip_and_recovery(self, tmp_path, fsync):
         wal = WriteAheadLog(tmp_path, fsync=fsync, segment_events=16)
@@ -414,7 +402,9 @@ class TestWalIntegration:
 
     def test_writer_instance_accepted_directly(self, tmp_path):
         clock = FakeClock()
-        writer = GroupCommitWalWriter(window=0.004, clock=clock)
+        writer = BoundedWalWriter(
+            "group", max_count=256, max_delay=0.004, clock=clock
+        )
         wal = WriteAheadLog(tmp_path, fsync=writer)
         wal.recover()
         assert wal.writer is writer
@@ -422,15 +412,6 @@ class TestWalIntegration:
         clock.advance(0.005)
         wal.append(2, "y")
         assert wal.durable_seq == 2
-        wal.close()
-
-    def test_wait_durable_through_wal(self, tmp_path):
-        wal = WriteAheadLog(tmp_path, fsync="async")
-        wal.recover()
-        for i in range(1, 11):
-            wal.append(i, str(i))
-        assert wal.wait_durable(10, timeout=5.0)
-        assert wal.durable_seq == 10
         wal.close()
 
     def test_bad_policy_rejected_eagerly(self, tmp_path):
@@ -501,43 +482,6 @@ class TestWriterChaos:
         assert restarts == 2
         _assert_equivalent(base_svc, base, svc, result)
 
-    def test_async_drain_kill_loses_no_acked_append(self, tmp_path):
-        """Kill while the async thread is mid-drain; acked appends
-        must all be on disk (process-crash ack level) and the durable
-        watermark at the crash must be covered after recovery."""
-        lines = _stream()
-        base_svc, base = _baseline(lines)
-        crash = CrashInjector(
-            FaultSchedule((CrashFault(seq=45, point="post-append"),))
-        )
-        service, _ = DurableOnlineService.open(
-            tmp_path,
-            mode="create",
-            rate=RATE,
-            admission=True,
-            snapshot_every=25,
-            crash=crash,
-            fsync="async",
-        )
-        with pytest.raises(SimulatedCrash):
-            service.ingest(iter(lines))
-        # The crash fired after the append (seq 45 acked into the WAL)
-        # but before the in-memory apply.
-        acked = service.wal.last_seq
-        durable_at_crash = service.durable_seq
-        assert acked == 45
-        assert service.applied_seq == 44
-        service, report = DurableOnlineService.open(
-            tmp_path, mode="recover", crash=crash
-        )
-        # Every acknowledged append survived the kill, and the fsync
-        # watermark never ran ahead of what recovery replays.
-        assert report.applied_seq == acked
-        assert report.applied_seq >= durable_at_crash
-        service.ingest(iter(lines[report.applied_seq :]))
-        result = service.shutdown()
-        _assert_equivalent(base_svc, base, service, result)
-
     def test_recovery_is_policy_agnostic(self, tmp_path):
         """meta.json records the policy; recovery follows it without
         the caller restating ``fsync``."""
@@ -555,6 +499,31 @@ class TestWriterChaos:
         service.wal.close()
         service, report = DurableOnlineService.open(tmp_path, mode="recover")
         assert service.wal.fsync_policy == "group:4ms"
+        service.ingest(iter(lines[report.applied_seq :]))
+        result = service.shutdown()
+        _assert_equivalent(base_svc, base, service, result)
+
+    def test_async_directory_recovers_as_batch(self, tmp_path):
+        """A ``meta.json`` naming the removed ``async`` writer still
+        recovers and attaches, now under ``batch``."""
+        lines = _stream()
+        base_svc, base = _baseline(lines)
+        service, _ = DurableOnlineService.open(
+            tmp_path,
+            mode="create",
+            rate=RATE,
+            admission=True,
+            snapshot_every=25,
+            fsync="batch",
+        )
+        service.ingest(iter(lines[:50]))
+        service.wal.close()
+        config = service_module._read_meta(tmp_path)
+        config["fsync"] = "async"
+        service_module._write_meta(tmp_path, config)
+        service, report = DurableOnlineService.open(tmp_path, mode="recover")
+        assert service.wal.writer.policy == "batch"
+        assert service.wal.writer.max_count == config["batch_events"]
         service.ingest(iter(lines[report.applied_seq :]))
         result = service.shutdown()
         _assert_equivalent(base_svc, base, service, result)

@@ -141,7 +141,7 @@ def test_public_callables_documented(name):
 def test_main_package_version():
     import repro
 
-    assert repro.__version__ == "2.0.0"
+    assert repro.__version__ == "3.0.0"
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +219,43 @@ def test_removed_names_are_absent(package):
     for symbol in MOVED_TO_ANALYSIS + REMOVED_FACTORIES:
         assert not hasattr(module, symbol), f"{package}.{symbol} remains"
         assert symbol not in module.__all__
+
+
+#: The WAL writer classes and constant 3.0 folded into
+#: ``BoundedWalWriter`` or deleted with the async writer.
+REMOVED_IN_3 = [
+    "SyncWalWriter",
+    "GroupCommitWalWriter",
+    "LatencyBudgetWalWriter",
+    "AsyncWalWriter",
+    "FSYNC_POLICIES",
+]
+
+
+@pytest.mark.parametrize(
+    "package",
+    [
+        "repro.online.durability",
+        "repro.online.durability.wal",
+        "repro.online.durability.writers",
+    ],
+)
+def test_removed_writer_names_are_absent(package):
+    module = importlib.import_module(package)
+    for symbol in REMOVED_IN_3:
+        assert not hasattr(module, symbol), f"{package}.{symbol} remains"
+        assert symbol not in module.__all__
+
+
+def test_wait_durable_is_gone():
+    from repro.online.durability import (
+        DurableOnlineService,
+        WalWriter,
+        WriteAheadLog,
+    )
+
+    for cls in (WalWriter, WriteAheadLog, DurableOnlineService):
+        assert not hasattr(cls, "wait_durable"), cls.__name__
 
 
 def _trial(trial, seed):
