@@ -73,7 +73,7 @@ from repro.network import (
 )
 from repro.scenario import Scenario
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AnalysisContext",

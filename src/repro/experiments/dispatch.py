@@ -19,8 +19,9 @@ backoff, checkpoint/resume, the fail-fast contract — and delegates
   stacks a chunk of trials into one ``(B, N, T)`` block in
   ``multiprocessing.shared_memory``, and each worker attaches the
   block zero-copy and runs it through
-  :class:`repro.sim.batch.BatchFluidGPSServer` — whose per-trial
-  results are bit-for-bit those of the scalar engine, so
+  :class:`repro.sim.fluid.BatchFluidGPSServer` — whose per-trial
+  results are bit-for-bit those of its ``B = 1`` case
+  :class:`~repro.sim.fluid.FluidGPSServer`, so
   ``manifest.completed`` is identical to a serial run.  One pickled
   scenario and one shm segment per *chunk* instead of one pickle per
   *trial*, and the simulation itself runs vectorized.
@@ -254,21 +255,11 @@ def _sample_trial_block(
 ) -> np.ndarray:
     """Stack per-trial arrival matrices into one ``(B, N, T)`` block.
 
-    Each trial's matrix is sampled exactly as
-    :meth:`repro.scenario.Scenario.trial_result` samples it — same RNG
-    construction, same per-source generate order, same fault
-    adjustment — so the batched trial is bit-for-bit the serial one.
+    Each trial's matrix comes from the sampler
+    :meth:`repro.scenario.Scenario.trial_result` uses, so the batched
+    trial is bit-for-bit the serial one.
     """
-    rows = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        arrivals = np.vstack(
-            [
-                source.generate(scenario.horizon, rng)
-                for source in scenario.sources
-            ]
-        )
-        rows.append(scenario._fault_adjusted(arrivals))
+    rows = [scenario._seed_arrivals(seed) for seed in seeds]
     return np.ascontiguousarray(np.stack(rows), dtype=float)
 
 

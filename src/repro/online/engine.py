@@ -1,8 +1,9 @@
 """Event-driven streaming fluid GPS server.
 
-The offline engines (:mod:`repro.sim.fluid`, :mod:`repro.sim.batch`)
-materialize a fixed population over a fixed horizon as full ``(N, T)``
-/ ``(B, N, T)`` arrays.  :class:`StreamingGPSServer` is the online
+The offline fluid server (:class:`repro.sim.fluid.BatchFluidGPSServer`
+and its ``B = 1`` case :class:`repro.sim.fluid.FluidGPSServer`)
+materializes a fixed population over a fixed horizon as full
+``(B, N, T)`` arrays.  :class:`StreamingGPSServer` is the online
 counterpart: it consumes an ordered stream of
 :mod:`repro.online.events` — session churn, arrivals, capacity changes
 — and keeps only O(active sessions) state (the
@@ -11,9 +12,9 @@ unbounded; memory does not grow with time unless per-slot recording is
 explicitly requested.
 
 Each slot is served by the *same* water-filling kernel as the offline
-engines (``repro.sim.fluid._batch_water_fill`` through the identical
+server (``repro.sim.fluid._batch_water_fill`` through the identical
 ``work = backlog + arrivals`` / ``clip(work - served, 0, None)``
-sequence of ``FluidGPSServer._step_fast``), so replaying an event
+sequence of ``BatchFluidGPSServer._step_fast``), so replaying an event
 stream produced by :meth:`repro.scenario.Scenario.to_event_stream`
 reproduces the offline backlog/served trajectories *bit for bit* —
 ``np.array_equal``, not ``allclose`` — which the equivalence suite in
@@ -305,7 +306,7 @@ class StreamingGPSServer:
             # trace block below still needs this slot's gather order.
             busy = busy.copy()
         if busy.size:
-            # Mirrors FluidGPSServer._step_fast operation for
+            # Mirrors BatchFluidGPSServer._step_fast operation for
             # operation; same kernel, same clip — the bit-for-bit
             # equivalence guarantee rests on this block.
             work = registry.backlog[busy] + registry.pending[busy]

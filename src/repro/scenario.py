@@ -43,8 +43,12 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep layering acyclic
     from repro.core.ebb import EBB
     from repro.core.gps import GPSConfig
     from repro.faults.schedule import FaultSchedule
-    from repro.sim.batch import BatchFluidGPSServer, BatchGPSSimResult
-    from repro.sim.fluid import FluidGPSServer, GPSSimResult
+    from repro.sim.fluid import (
+        BatchFluidGPSServer,
+        BatchGPSSimResult,
+        FluidGPSServer,
+        GPSSimResult,
+    )
     from repro.packet.trace import PacketTrace
     from repro.sim.packet import Packet, WFQResult, WFQServer
     from repro.sim.packetize import PacketSizeModel
@@ -244,7 +248,7 @@ class Scenario:
 
     def batch_server(self) -> "BatchFluidGPSServer":
         """A fresh batched fluid GPS server for this scenario."""
-        from repro.sim.batch import BatchFluidGPSServer
+        from repro.sim.fluid import BatchFluidGPSServer
 
         return BatchFluidGPSServer(scenario=self)
 
@@ -291,6 +295,20 @@ class Scenario:
             batch, capacities=self._fault_capacities()
         )
 
+    def _seed_arrivals(self, seed: int) -> np.ndarray:
+        """Fault-adjusted ``(num_sessions, horizon)`` arrivals drawn
+        from ``default_rng(seed)``: the sample path of a supervised
+        trial, whichever dispatch backend runs it."""
+        rng = np.random.default_rng(seed)
+        return self._fault_adjusted(
+            np.vstack(
+                [
+                    source.generate(self.horizon, rng)
+                    for source in self.sources
+                ]
+            )
+        )
+
     def trial_result(self, trial: int, seed: int) -> dict[str, Any]:
         """One supervised Monte-Carlo trial, as a JSON-friendly dict.
 
@@ -302,16 +320,8 @@ class Scenario:
         plain bound method of a picklable frozen dataclass, so it
         survives the ``max_workers`` process fan-out.
         """
-        rng = np.random.default_rng(seed)
-        arrivals = np.vstack(
-            [
-                source.generate(self.horizon, rng)
-                for source in self.sources
-            ]
-        )
         result = self.server().run(
-            self._fault_adjusted(arrivals),
-            capacities=self._fault_capacities(),
+            self._seed_arrivals(seed), capacities=self._fault_capacities()
         )
         payload = result.summary()
         payload["trial"] = int(trial)

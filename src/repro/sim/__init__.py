@@ -6,7 +6,6 @@ from repro.sim.baselines import (
     StaticPriorityServer,
     WeightedRoundRobinServer,
 )
-from repro.sim.batch import BatchFluidGPSServer, BatchGPSSimResult
 from repro.sim.class_based import ClassBasedGPSServer
 from repro.sim.decay import DecayFit, estimate_decay_rate
 from repro.sim.fluid_exact import (
@@ -16,6 +15,8 @@ from repro.sim.fluid_exact import (
     simulate_exact_gps,
 )
 from repro.sim.fluid import (
+    BatchFluidGPSServer,
+    BatchGPSSimResult,
     FluidGPSServer,
     GPSSimResult,
     batch_gps_slot_allocation,

@@ -36,7 +36,13 @@ _EPS = 1e-12
 
 
 class _SlotServer:
-    """Shared batch-run plumbing for the slot-stepped baselines."""
+    """Shared batch-run plumbing for the slot-stepped baselines and
+    :class:`repro.sim.class_based.ClassBasedGPSServer`.
+
+    Subclasses implement :meth:`reset`, :meth:`step` and
+    :meth:`_backlog_snapshot`, and override :meth:`_weights_record`
+    when the result should record weights other than all ones.
+    """
 
     def __init__(self, rate: float, num_sessions: int) -> None:
         check_positive("rate", rate)
@@ -74,6 +80,8 @@ class _SlotServer:
                 f"arrivals must have shape ({self._num_sessions}, T), "
                 f"got {arr.shape}"
             )
+        if arr.shape[1] == 0:
+            raise ValidationError("need at least one slot, got 0")
         self.reset()
         served = np.zeros_like(arr)
         backlog = np.zeros_like(arr)

@@ -1,4 +1,4 @@
-"""Discrete-time fluid GPS server simulator.
+"""Discrete-time fluid GPS server simulators.
 
 The paper's GPS server is a fluid device: in every instant, backlogged
 sessions share the server in proportion to their weights ``phi_i``
@@ -9,17 +9,22 @@ slot's capacity is allocated by exact proportional *water-filling*
 (:func:`gps_slot_allocation`) — the fixed point of the GPS sharing rule
 within the slot.
 
-The server is a stateful stepper (so it can sit inside a multi-node
-network simulation) with a batch :meth:`FluidGPSServer.run` convenience
-returning a :class:`GPSSimResult` with per-session served/backlog
-traces and the paper's delay process ``D_i(t)`` (the time for the
-session-``i`` backlog present at ``t`` to clear).
+The water-filling is implemented once, as a *batched* kernel over
+stacked ``(B, N)`` work matrices (:func:`_batch_water_fill`), and one
+server steps it: :class:`BatchFluidGPSServer` runs ``B`` independent
+trials per slot, so a Monte-Carlo campaign pays the interpreter cost
+``T`` times regardless of ``B``.  :class:`FluidGPSServer`, the
+stateful single-trial stepper a multi-node network simulation drives,
+is the ``B = 1`` case of that server: it reshapes its ``(N,)`` and
+``(N, T)`` inputs and shares the batched server's backlog state, slot
+loop and kernel call.  Row ``b`` of a batched run is therefore
+bit-for-bit a single-trial run on the same arrivals.
 
-The water-filling itself is implemented once, as a *batched* kernel
-over stacked ``(B, N)`` work matrices (:func:`batch_gps_slot_allocation`);
-the scalar server is the ``B = 1`` slice of that kernel, so the batched
-engine in :mod:`repro.sim.batch` is bit-for-bit identical to stepping
-this server trial by trial.
+:meth:`FluidGPSServer.run` returns a :class:`GPSSimResult` with
+per-session served/backlog traces and the paper's delay process
+``D_i(t)`` (the time for the session-``i`` backlog present at ``t`` to
+clear); :meth:`BatchFluidGPSServer.run` returns the stacked
+:class:`BatchGPSSimResult`.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ __all__ = [
     "busy_gps_slot_allocation",
     "FluidGPSServer",
     "GPSSimResult",
+    "BatchFluidGPSServer",
+    "BatchGPSSimResult",
     "clearing_delays",
 ]
 
@@ -343,28 +350,155 @@ def clearing_delays(
     return delays
 
 
-class FluidGPSServer:
-    """Stateful slot-stepped fluid GPS server.
+@dataclass(frozen=True)
+class BatchGPSSimResult:
+    """Stacked traces of ``B`` independent fluid GPS trials.
 
-    Construction is keyword-only::
+    All trace arrays have shape ``(num_trials, num_sessions,
+    num_slots)``; ``capacities`` — when the run was fault-injected —
+    has shape ``(num_trials, num_slots)``.
+    """
 
-        FluidGPSServer(rate=1.0, phis=[2.0, 1.0])
-        FluidGPSServer(scenario=scenario)       # repro.scenario.Scenario
+    arrivals: np.ndarray
+    served: np.ndarray
+    backlog: np.ndarray
+    rate: float
+    phis: tuple[float, ...]
+    capacities: np.ndarray | None = None
 
-    Parameters
-    ----------
-    rate:
-        Server capacity per slot.
-    phis:
-        GPS weights, one per session.
-    scenario:
-        A :class:`repro.scenario.Scenario` (or any object exposing
-        ``rate`` and ``phis``); mutually exclusive with the explicit
-        parameters.
+    def __post_init__(self) -> None:
+        shape = self.arrivals.shape
+        if len(shape) != 3:
+            raise ValidationError(
+                f"traces must be 3-D (B, N, T), got {shape}"
+            )
+        if self.served.shape != shape or self.backlog.shape != shape:
+            raise ValidationError(
+                "arrivals/served/backlog shapes differ: "
+                f"{shape}, {self.served.shape}, {self.backlog.shape}"
+            )
+        if self.capacities is not None and self.capacities.shape != (
+            shape[0],
+            shape[2],
+        ):
+            raise ValidationError(
+                f"capacities must have shape ({shape[0]}, {shape[2]}), "
+                f"got {self.capacities.shape}"
+            )
 
-    All argument validation happens here, at construction time; the
-    per-slot stepping then runs on a fast no-copy path for contiguous
-    float64 arrays.
+    @property
+    def num_trials(self) -> int:
+        """Batch size ``B``."""
+        return self.arrivals.shape[0]
+
+    @property
+    def num_sessions(self) -> int:
+        """Number of sessions."""
+        return self.arrivals.shape[1]
+
+    @property
+    def num_slots(self) -> int:
+        """Number of simulated slots."""
+        return self.arrivals.shape[2]
+
+    def trial(self, index: int) -> GPSSimResult:
+        """One trial's traces as a scalar :class:`GPSSimResult`.
+
+        The arrays are views into the batch; they compare bit-for-bit
+        equal to running :class:`repro.sim.fluid.FluidGPSServer` on the
+        same arrivals.
+        """
+        if not 0 <= index < self.num_trials:
+            raise ValidationError(
+                f"trial index must be in [0, {self.num_trials}), got "
+                f"{index}"
+            )
+        return GPSSimResult(
+            arrivals=self.arrivals[index],
+            served=self.served[index],
+            backlog=self.backlog[index],
+            rate=self.rate,
+            phis=self.phis,
+            capacities=(
+                None if self.capacities is None else self.capacities[index]
+            ),
+        )
+
+    def total_backlog(self) -> np.ndarray:
+        """System backlog per trial and slot, shape ``(B, T)``.
+
+        Sequential over sessions, matching
+        :meth:`repro.sim.fluid.GPSSimResult.total_backlog` bit for bit
+        on each trial slice.
+        """
+        if self.backlog.shape[1] == 0:
+            return np.zeros((self.num_trials, self.num_slots))
+        return np.cumsum(self.backlog, axis=1)[:, -1, :]
+
+    def utilization(self) -> np.ndarray:
+        """Per-trial fraction of offered capacity actually used."""
+        if self.capacities is not None:
+            offered = self.capacities.sum(axis=1)
+        else:
+            offered = np.full(
+                self.num_trials, self.rate * self.num_slots
+            )
+        used = self.served.sum(axis=(1, 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(offered > 0.0, used / offered, 0.0)
+        return out
+
+    def busy_fraction(self, session: int) -> np.ndarray:
+        """Per-trial fraction of slots the session is backlogged."""
+        return np.mean(self.backlog[:, session, :] > _EPS, axis=1)
+
+    # ------------------------------------------------------------------
+    # unified result protocol (repro.sim.results.SimResult)
+    # ------------------------------------------------------------------
+    def summary(self) -> dict[str, Any]:
+        """JSON-serializable scalar summary across the batch."""
+        total = self.total_backlog()
+        return {
+            "kind": "batch_fluid_gps",
+            "num_trials": self.num_trials,
+            "num_sessions": self.num_sessions,
+            "num_slots": self.num_slots,
+            "rate": self.rate,
+            "phis": list(self.phis),
+            "mean_utilization": float(self.utilization().mean()),
+            "total_arrived": float(self.arrivals.sum()),
+            "total_served": float(self.served.sum()),
+            "max_total_backlog": float(total.max()),
+            "mean_final_backlog": [
+                float(b) for b in self.backlog[:, :, -1].mean(axis=0)
+            ],
+        }
+
+    def to_dict(self) -> dict[str, Any]:
+        """Full JSON-serializable dump: summary plus all traces."""
+        payload = self.summary()
+        payload["arrivals"] = self.arrivals.tolist()
+        payload["served"] = self.served.tolist()
+        payload["backlog"] = self.backlog.tolist()
+        if self.capacities is not None:
+            payload["capacities"] = self.capacities.tolist()
+        return payload
+
+
+class BatchFluidGPSServer:
+    """Vectorized fluid GPS server over ``B`` independent trials.
+
+    Keyword-only construction, as for :class:`FluidGPSServer` (its
+    ``B = 1`` case)::
+
+        BatchFluidGPSServer(rate=1.0, phis=[2.0, 1.0])
+        BatchFluidGPSServer(scenario=scenario)
+
+    All trials share the server rate and weight vector (they are
+    independent repetitions of one scenario, not different scenarios);
+    per-trial capacity traces may still differ, e.g. under fault
+    injection.  Validation happens at construction and once per
+    :meth:`run`; the slot loop runs on the no-copy float64 kernel.
     """
 
     def __init__(
@@ -384,14 +518,15 @@ class FluidGPSServer:
             phis = scenario.phis
         if rate is None or phis is None:
             raise ValidationError(
-                "FluidGPSServer requires rate= and phis= (or scenario=)"
+                f"{type(self).__name__} requires rate= and phis= "
+                "(or scenario=)"
             )
         check_positive("rate", rate)
         self._phis = np.ascontiguousarray(
             check_weights("phis", list(phis)), dtype=float
         )
         self._rate = float(rate)
-        self._backlog = np.zeros(self._phis.size)
+        self._backlog: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -405,28 +540,174 @@ class FluidGPSServer:
         return self._phis.size
 
     @property
+    def backlog(self) -> np.ndarray | None:
+        """Current ``(B, N)`` backlog (copy), or ``None`` before any
+        step."""
+        return None if self._backlog is None else self._backlog.copy()
+
+    def reset(self, num_trials: int | None = None) -> None:
+        """Empty all queues (and fix the batch size, when given)."""
+        if num_trials is None:
+            self._backlog = None
+        else:
+            if num_trials <= 0:
+                raise ValidationError(
+                    f"num_trials must be positive, got {num_trials}"
+                )
+            self._backlog = np.zeros((num_trials, self.num_sessions))
+
+    def step(self, arrivals, *, capacity=None) -> np.ndarray:
+        """Advance every trial one slot; returns ``(B, N)`` service.
+
+        ``arrivals`` is ``(B, N)``; the batch size is fixed by the
+        first step after a :meth:`reset`.  ``capacity`` overrides the
+        rate for this slot — a scalar applies to every trial, a
+        ``(B,)`` array sets per-trial capacities.
+        """
+        arr = np.ascontiguousarray(arrivals, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != self.num_sessions:
+            raise ValidationError(
+                f"arrivals must have shape (B, {self.num_sessions}), "
+                f"got {arr.shape}"
+            )
+        if np.any(arr < 0.0):
+            raise ValidationError("arrivals must be non-negative")
+        if self._backlog is None:
+            self._backlog = np.zeros_like(arr)
+        elif self._backlog.shape != arr.shape:
+            raise ValidationError(
+                f"expected batch shape {self._backlog.shape}, got "
+                f"{arr.shape}"
+            )
+        if capacity is None:
+            caps = np.full(arr.shape[0], self._rate)
+        else:
+            caps = np.broadcast_to(
+                np.asarray(capacity, dtype=float), (arr.shape[0],)
+            ).copy()
+            if np.any(~np.isfinite(caps)) or np.any(caps < 0.0):
+                raise ValidationError(
+                    "capacity must be finite and non-negative"
+                )
+        return self._step_fast(arr, caps)
+
+    def _step_fast(
+        self, arrivals: np.ndarray, capacities: np.ndarray
+    ) -> np.ndarray:
+        work = self._backlog + arrivals
+        served = _batch_water_fill(work, self._phis, capacities)
+        self._backlog = np.clip(work - served, 0.0, None)
+        return served
+
+    def run(
+        self,
+        arrivals: np.ndarray,
+        *,
+        capacities: np.ndarray | None = None,
+    ) -> BatchGPSSimResult:
+        """Simulate a stacked arrival tensor ``(B, num_sessions, T)``.
+
+        State is reset first, so ``run`` is reproducible.
+        ``capacities`` optionally overrides the per-slot capacity:
+        shape ``(T,)`` applies the same trace to every trial (the
+        common fault-injection case), shape ``(B, T)`` sets per-trial
+        traces.
+
+        Trial ``b`` of the result is bit-for-bit
+        ``FluidGPSServer(rate=..., phis=...).run(arrivals[b],
+        capacities=...)``.
+        """
+        arr = np.ascontiguousarray(arrivals, dtype=float)
+        if arr.ndim != 3 or arr.shape[1] != self.num_sessions:
+            raise ValidationError(
+                f"arrivals must have shape (B, {self.num_sessions}, T), "
+                f"got {arr.shape}"
+            )
+        if np.any(arr < 0.0):
+            raise ValidationError("arrivals must be non-negative")
+        num_trials, _, num_slots = arr.shape
+        if num_trials == 0 or num_slots == 0:
+            raise ValidationError(
+                f"need at least one trial and one slot, got {arr.shape}"
+            )
+        caps = None
+        if capacities is not None:
+            caps = np.ascontiguousarray(capacities, dtype=float)
+            if caps.shape == (num_slots,):
+                caps = np.broadcast_to(
+                    caps, (num_trials, num_slots)
+                ).copy()
+            if caps.shape != (num_trials, num_slots):
+                raise ValidationError(
+                    f"capacities must have shape ({num_slots},) or "
+                    f"({num_trials}, {num_slots}), got {caps.shape}"
+                )
+            if np.any(~np.isfinite(caps)) or np.any(caps < 0.0):
+                raise ValidationError(
+                    "capacities must be finite and non-negative"
+                )
+        # Not self.reset(num_trials): FluidGPSServer overrides reset().
+        self._backlog = np.zeros((num_trials, self.num_sessions))
+        served = np.zeros_like(arr)
+        backlog = np.zeros_like(arr)
+        full_rate = np.full(num_trials, self._rate)
+        for t in range(num_slots):
+            slot_caps = full_rate if caps is None else caps[:, t]
+            served[:, :, t] = self._step_fast(arr[:, :, t], slot_caps)
+            backlog[:, :, t] = self._backlog
+        return BatchGPSSimResult(
+            arrivals=arr,
+            served=served,
+            backlog=backlog,
+            rate=self._rate,
+            phis=tuple(self._phis.tolist()),
+            capacities=caps,
+        )
+
+
+class FluidGPSServer(BatchFluidGPSServer):
+    """Stateful slot-stepped fluid GPS server: the ``B = 1`` batched server.
+
+    Construction is keyword-only::
+
+        FluidGPSServer(rate=1.0, phis=[2.0, 1.0])
+        FluidGPSServer(scenario=scenario)       # repro.scenario.Scenario
+
+    Parameters
+    ----------
+    rate:
+        Server capacity per slot.
+    phis:
+        GPS weights, one per session.
+    scenario:
+        A :class:`repro.scenario.Scenario` (or any object exposing
+        ``rate`` and ``phis``); mutually exclusive with the explicit
+        parameters.
+
+    Every method takes and returns single-trial shapes — ``(N,)`` per
+    slot, ``(N, T)`` per run — and checks them before reshaping to the
+    batched server's ``(1, N)`` and ``(1, N, T)``, whose backlog
+    state, slot loop and kernel call it runs on.
+    """
+
+    def __init__(
+        self,
+        *,
+        rate: float | None = None,
+        phis=None,
+        scenario=None,
+    ) -> None:
+        super().__init__(rate=rate, phis=phis, scenario=scenario)
+        self.reset()
+
+    @property
     def backlog(self) -> np.ndarray:
         """Current per-session backlog (copy)."""
-        return self._backlog.copy()
+        return self._backlog[0].copy()
 
     def reset(self) -> None:
         """Empty all queues."""
-        self._backlog[:] = 0.0
-
-    def _step_fast(self, arrivals: np.ndarray, capacity: float) -> np.ndarray:
-        """One slot on the validated hot path.
-
-        ``arrivals`` must be a float64 ``(N,)`` array of non-negative
-        entries and ``capacity`` a finite non-negative float — the
-        checks were hoisted to the callers (:meth:`step` validates per
-        call, :meth:`run` validates the whole matrix once).
-        """
-        work = self._backlog + arrivals
-        served = _batch_water_fill(
-            work[None, :], self._phis, np.array([capacity])
-        )[0]
-        self._backlog = np.clip(work - served, 0.0, None)
-        return served
+        super().reset(1)
 
     def step(self, arrivals, *, capacity: float | None = None) -> np.ndarray:
         """Advance one slot; returns per-session service amounts.
@@ -436,9 +717,9 @@ class FluidGPSServer:
         (``capacity=0`` is a full outage; the backlog simply accrues).
         """
         arr = np.ascontiguousarray(arrivals, dtype=float)
-        if arr.shape != self._backlog.shape:
+        if arr.shape != (self.num_sessions,):
             raise ValidationError(
-                f"expected {self._backlog.size} arrival entries, got "
+                f"expected {self.num_sessions} arrival entries, got "
                 f"shape {arr.shape}"
             )
         if np.any(arr < 0.0):
@@ -449,7 +730,7 @@ class FluidGPSServer:
             raise ValidationError(
                 f"capacity must be finite and non-negative, got {capacity}"
             )
-        return self._step_fast(arr, float(capacity))
+        return self._step_fast(arr[None, :], np.array([float(capacity)]))[0]
 
     def run(
         self,
@@ -474,33 +755,11 @@ class FluidGPSServer:
                 f"arrivals must have shape ({self.num_sessions}, T), got "
                 f"{arr.shape}"
             )
-        if np.any(arr < 0.0):
-            raise ValidationError("arrivals must be non-negative")
-        self.reset()
-        num_slots = arr.shape[1]
-        caps = None
-        if capacities is not None:
-            caps = np.ascontiguousarray(capacities, dtype=float)
-            if caps.shape != (num_slots,):
-                raise ValidationError(
-                    f"capacities must have shape ({num_slots},), got "
-                    f"{caps.shape}"
-                )
-            if np.any(~np.isfinite(caps)) or np.any(caps < 0.0):
-                raise ValidationError(
-                    "capacities must be finite and non-negative"
-                )
-        served = np.zeros_like(arr)
-        backlog = np.zeros_like(arr)
-        for t in range(num_slots):
-            capacity = self._rate if caps is None else caps[t]
-            served[:, t] = self._step_fast(arr[:, t], float(capacity))
-            backlog[:, t] = self._backlog
-        return GPSSimResult(
-            arrivals=arr,
-            served=served,
-            backlog=backlog,
-            rate=self._rate,
-            phis=tuple(self._phis.tolist()),
-            capacities=caps,
-        )
+        if capacities is not None and np.shape(capacities) != arr.shape[1:]:
+            raise ValidationError(
+                f"capacities must have shape ({arr.shape[1]},), got "
+                f"{np.shape(capacities)}"
+            )
+        if arr.shape[1] == 0:
+            raise ValidationError("need at least one slot, got 0")
+        return super().run(arr[None], capacities=capacities).trial(0)

@@ -37,7 +37,7 @@ def _lines(events):
     return [json.dumps(event_to_record(e)) + "\n" for e in events]
 
 
-def _stream(n_slots=40, with_qos=False):
+def _stream(n_slots=40, with_qos=False, names=("a", "b")):
     qos = (
         dict(
             ebb=EBB(rho=0.4, prefactor=2.0, decay_rate=0.5),
@@ -47,12 +47,12 @@ def _stream(n_slots=40, with_qos=False):
         else {}
     )
     events = [
-        SessionJoin(time=0.0, name="a", phi=2.0, **qos),
-        SessionJoin(time=0.0, name="b", phi=1.0, **qos),
+        SessionJoin(time=0.0, name=names[0], phi=2.0, **qos),
+        SessionJoin(time=0.0, name=names[1], phi=1.0, **qos),
     ]
     rng = np.random.default_rng(3)
     for t in range(1, n_slots):
-        for name in ("a", "b"):
+        for name in names:
             if rng.random() < 0.8:
                 events.append(
                     ArrivalEvent(
@@ -61,7 +61,7 @@ def _stream(n_slots=40, with_qos=False):
                         amount=float(rng.exponential(0.4)),
                     )
                 )
-    events.append(SessionLeave(time=float(n_slots), name="b"))
+    events.append(SessionLeave(time=float(n_slots), name=names[1]))
     return _lines(events)
 
 
@@ -492,6 +492,73 @@ class TestDurableCli:
         from repro.cli import main
 
         assert main(["recover", str(tmp_path / "nope")]) == 1
+
+
+class TestClusterRecoverCli:
+    """``repro cluster-recover``, mirroring the ``repro recover`` tests.
+
+    Sessions ``a`` and ``d`` hash to different shards of two.
+    """
+
+    def _serve(self, tmp_path, lines, *extra):
+        from repro.cli import main
+
+        stream = tmp_path / "head.jsonl"
+        stream.write_text("".join(lines), encoding="utf-8")
+        root = str(tmp_path / "root")
+        args = ["serve", str(stream), "--rate", "2.0", "--shards", "2"]
+        args += ["--wal", root, *extra, "--out", str(tmp_path / "o1.jsonl")]
+        assert main(args) == 0
+        return root
+
+    @staticmethod
+    def _records(path):
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    def test_cluster_recover_resume(self, tmp_path):
+        from repro.cli import main
+
+        lines = _stream(30, names=("a", "d"))
+        root = self._serve(tmp_path, lines[:40], "--snapshot-every", "10")
+        tail = tmp_path / "tail.jsonl"
+        tail.write_text("".join(lines[40:]), encoding="utf-8")
+        out = tmp_path / "out2.jsonl"
+        code = main(
+            ["cluster-recover", root, "--resume", str(tail), "--out", str(out)]
+        )
+        assert code == 0
+        records = self._records(out)
+        recoveries = [r for r in records if r["kind"] == "recovery"]
+        assert [r["shard"] for r in recoveries] == [0, 1]
+        assert sum(r["applied_seq"] for r in recoveries) == 40
+        assert all(r["applied_seq"] > 0 for r in recoveries)
+        summaries = [r for r in records if r["kind"] == "summary"]
+        assert sorted(r["shard"] for r in summaries) == [0, 1]
+        assert sum(
+            r["summary"]["events_processed"] for r in summaries
+        ) == len(lines)
+
+    def test_cluster_recover_report_only_snapshots_each_shard(
+        self, tmp_path
+    ):
+        from repro.cli import main
+
+        lines = _stream(20, names=("a", "d"))
+        root = self._serve(tmp_path, lines)
+        out = tmp_path / "rec.jsonl"
+        assert main(["cluster-recover", root, "--out", str(out)]) == 0
+        reports = [r for r in self._records(out) if r["kind"] == "recovery"]
+        assert [r["shard"] for r in reports] == [0, 1]
+        assert sum(r["applied_seq"] for r in reports) == len(lines)
+        for report in reports:
+            shard_dir = tmp_path / "root" / f"shard-{report['shard']:03d}"
+            snaps = sorted(shard_dir.glob("snap-*.json"))
+            assert int(snaps[-1].name[5:-5]) == report["applied_seq"]
+
+    def test_cluster_recover_missing_root_fails_cleanly(self, tmp_path):
+        from repro.cli import main
+
+        assert main(["cluster-recover", str(tmp_path / "nope")]) == 1
 
 
 class TestPruneRotationBoundary:

@@ -14,6 +14,8 @@ Two layers of coverage:
 import ast
 import json
 import logging
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,7 @@ from repro.faults import (
     FaultSchedule,
     SimulatedCrash,
 )
-from repro.online.durability import DurableOnlineService
+from repro.online.durability import DurableOnlineService, SnapshotStore
 from repro.online.durability import service as service_module
 from repro.online.durability import wal as wal_module
 from repro.online.durability import writers as writers_module
@@ -438,6 +440,33 @@ class TestWalIntegration:
         ]
         assert len(hits) == 1, "directory fsync failure must log once"
         assert "not power-loss durable" in hits[0].getMessage()
+
+    def test_snapshot_dir_fsync_failure_logged_once(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        real_fsync = os.fsync
+
+        def broken_on_dirs(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(13, "injected EACCES")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", broken_on_dirs)
+        wal_module._FSYNC_DIR_WARNED.discard(str(tmp_path))
+        store = SnapshotStore(tmp_path, verify_roundtrip=False)
+        with caplog.at_level(
+            logging.WARNING, logger="repro.online.durability"
+        ):
+            store.write(1, {"x": 1}, {})
+            store.write(2, {"x": 2}, {})
+        hits = [
+            r
+            for r in caplog.records
+            if str(tmp_path) in r.getMessage()
+        ]
+        assert len(hits) == 1, "snapshot dir fsync failure must log once"
+        assert "not power-loss durable" in hits[0].getMessage()
+        assert store.load_newest()["applied_seq"] == 2
 
 
 class TestWriterChaos:

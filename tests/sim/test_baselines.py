@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ValidationError
 from repro.sim.baselines import (
     FCFSServer,
     StaticPriorityServer,
@@ -113,3 +114,17 @@ class TestWeightedRoundRobin:
         share0 = result.served[0].sum()
         share1 = result.served[1].sum()
         assert share1 / share0 == pytest.approx(3.0, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "server",
+    [
+        FCFSServer(1.0, 2),
+        StaticPriorityServer(1.0, 2),
+        WeightedRoundRobinServer(1.0, [1.0, 1.0]),
+    ],
+    ids=lambda server: type(server).__name__,
+)
+def test_zero_slot_run_rejected(server):
+    with pytest.raises(ValidationError, match="slot"):
+        server.run(np.zeros((2, 0)))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.sim.batch import BatchFluidGPSServer, BatchGPSSimResult
+from repro.sim.fluid import BatchFluidGPSServer, BatchGPSSimResult
 from repro.sim.fluid import (
     FluidGPSServer,
     batch_gps_slot_allocation,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ValidationError
 from repro.sim.class_based import ClassBasedGPSServer
 from repro.sim.fluid import FluidGPSServer
 
@@ -100,3 +101,9 @@ class TestIsolationAndSharing:
         np.testing.assert_allclose(
             class_backlog, plain.backlog, atol=1e-7
         )
+
+
+def test_zero_slot_run_rejected():
+    server = ClassBasedGPSServer(1.0, [[0], [1]], [1.0, 1.0])
+    with pytest.raises(ValidationError, match="slot"):
+        server.run(np.zeros((2, 0)))

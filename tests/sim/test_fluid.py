@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ValidationError
 from repro.sim.fluid import (
     FluidGPSServer,
     clearing_delays,
@@ -86,6 +87,11 @@ class TestGpsSlotAllocation:
 
 
 class TestFluidGPSServer:
+    def test_zero_slot_run_rejected(self):
+        server = FluidGPSServer(rate=1, phis=[1, 1])
+        with pytest.raises(ValidationError, match="one slot, got 0$"):
+            server.run(np.zeros((2, 0)))
+
     def test_step_updates_backlog(self):
         server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
         served = server.step([2.0, 0.0])

@@ -141,7 +141,7 @@ def test_public_callables_documented(name):
 def test_main_package_version():
     import repro
 
-    assert repro.__version__ == "3.0.0"
+    assert repro.__version__ == "4.0.0"
 
 
 # ----------------------------------------------------------------------
@@ -245,6 +245,20 @@ def test_removed_writer_names_are_absent(package):
     for symbol in REMOVED_IN_3:
         assert not hasattr(module, symbol), f"{package}.{symbol} remains"
         assert symbol not in module.__all__
+
+
+def test_batch_module_is_gone():
+    # 4.0 folded repro.sim.batch into repro.sim.fluid; the batched
+    # names are still exported from there and from repro.sim.
+    import repro.sim
+    import repro.sim.fluid
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.sim.batch")
+    for module in (repro.sim, repro.sim.fluid):
+        for name in ("BatchFluidGPSServer", "BatchGPSSimResult"):
+            assert name in module.__all__
+            assert getattr(module, name).__module__ == "repro.sim.fluid"
 
 
 def test_wait_durable_is_gone():
