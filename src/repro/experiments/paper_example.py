@@ -14,6 +14,7 @@ delay-bound curves, and the direct LNT94 bound on ``delta_i`` at rate
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,14 @@ def _rhos_for_set(parameter_set: int) -> tuple[float, ...]:
     raise ValidationError(f"parameter_set must be 1 or 2, got {parameter_set}")
 
 
+@functools.lru_cache(maxsize=None)
+def _characterize(rhos: tuple[float, ...]) -> tuple[EBB, ...]:
+    return tuple(
+        ebb_characterization(source.as_mms(), rho)
+        for source, rho in zip(table1_sources(), rhos)
+    )
+
+
 def table2_characterizations(parameter_set: int) -> list[EBB]:
     """Recompute Table 2: E.B.B. characterizations via LNT94.
 
@@ -112,12 +121,12 @@ def table2_characterizations(parameter_set: int) -> list[EBB]:
     ``eb(alpha) = rho_i`` and match the paper to three digits; the
     prefactors are our rigorous supremum prefactors (the paper's are
     slightly smaller; see EXPERIMENTS.md).
+
+    The Perron eigenproblems behind them run once per process and
+    parameter set; every call returns a fresh list of the (frozen)
+    :class:`EBB` values.
     """
-    rhos = _rhos_for_set(parameter_set)
-    return [
-        ebb_characterization(source.as_mms(), rho)
-        for source, rho in zip(table1_sources(), rhos)
-    ]
+    return list(_characterize(_rhos_for_set(parameter_set)))
 
 
 def example_network(

@@ -14,11 +14,12 @@ stacked ``(B, N)`` work matrices (:func:`_batch_water_fill`), and one
 server steps it: :class:`BatchFluidGPSServer` runs ``B`` independent
 trials per slot, so a Monte-Carlo campaign pays the interpreter cost
 ``T`` times regardless of ``B``.  :class:`FluidGPSServer`, the
-stateful single-trial stepper a multi-node network simulation drives,
-is the ``B = 1`` case of that server: it reshapes its ``(N,)`` and
-``(N, T)`` inputs and shares the batched server's backlog state, slot
-loop and kernel call.  Row ``b`` of a batched run is therefore
-bit-for-bit a single-trial run on the same arrivals.
+stateful single-trial stepper, is the ``B = 1`` case of that server: it
+reshapes its ``(N,)`` and ``(N, T)`` inputs and shares the batched
+server's backlog state, slot loop and kernel call.  Row ``b`` of a
+batched run is therefore bit-for-bit a single-trial run on the same
+arrivals.  The network simulator (:mod:`repro.sim.network_sim`) steps
+the same slot update (:func:`_step_slot`) with one row per node.
 
 :meth:`FluidGPSServer.run` returns a :class:`GPSSimResult` with
 per-session served/backlog traces and the paper's delay process
@@ -64,37 +65,48 @@ def _row_sum(values: np.ndarray) -> np.ndarray:
     slice of the non-zero entries is *bit-for-bit* the sum of the full
     row with idle zeros in place.  ``np.cumsum`` is contractually
     sequential (every prefix is exposed), so its last column is exactly
-    that left-to-right sum.
+    that left-to-right sum.  The ufunc is called directly: the
+    ``np.cumsum`` wrapper adds only Python overhead on this hot path.
     """
     if values.shape[1] == 0:
         return np.zeros(values.shape[0])
-    return np.cumsum(values, axis=1)[:, -1]
+    return np.add.accumulate(values, axis=1)[:, -1]
 
 
 def _batch_water_fill(
     work: np.ndarray, phis: np.ndarray, capacity: np.ndarray
 ) -> np.ndarray:
-    """GPS water-filling over a batch of independent trials.
+    """GPS water-filling over a batch of independent rows.
 
-    ``work`` is ``(B, N)`` available work, ``phis`` a shared ``(N,)``
-    weight vector, ``capacity`` the ``(B,)`` per-trial slot capacities.
-    All inputs must already be validated, float64 and C-contiguous —
-    this is the hot kernel and performs no checks or copies.
+    ``work`` is ``(B, N)`` available work and ``capacity`` the ``(B,)``
+    per-row slot capacities.  ``phis`` is either one ``(N,)`` weight
+    vector shared by every row (independent trials of one server) or a
+    ``(B, N)`` array with each row's own weights (different servers
+    stepped together, e.g. the nodes of one network level).  All inputs
+    must already be validated, float64 and C-contiguous — this is the
+    hot kernel and performs no checks or copies.
 
-    Every floating-point operation applied to row ``b`` is independent
-    of the other rows (elementwise arithmetic plus row-wise
-    reductions), so the result for each row is bit-for-bit the result
-    of running the kernel on that row alone.  All row reductions are
-    strictly sequential (:func:`_row_sum`), so the result is also
-    invariant to dropping (or inserting) sessions whose work is exactly
-    zero — the contract :func:`busy_gps_slot_allocation` exposes.
+    Two facts make stacking bit-exact:
+
+    * *Rows are independent.*  Every floating-point operation applied
+      to row ``b`` reads only row ``b`` of ``work``, ``phis`` and
+      ``capacity`` (elementwise arithmetic plus row-wise reductions),
+      so each row's result is bit-for-bit the result of running the
+      kernel on that row alone, with either ``phis`` layout.
+    * *Zero-work columns are ignored.*  A column whose work is exactly
+      zero is never active, whatever its weight, and every row
+      reduction is strictly sequential (:func:`_row_sum`), so appending
+      or inserting such columns changes no other entry.  Servers with
+      fewer sessions can therefore be zero-padded to a common width,
+      and :func:`busy_gps_slot_allocation` may drop idle sessions.
     """
-    served = np.zeros_like(work)
+    served = np.zeros(work.shape)
     remaining = capacity.astype(float, copy=True)
     active = work > _EPS
+    any_of = np.logical_or.reduce
     while True:
-        live = (remaining > _EPS) & active.any(axis=1)
-        if not live.any():
+        live = (remaining > _EPS) & any_of(active, axis=1)
+        if not any_of(live):
             break
         total_phi = _row_sum(np.where(active, phis, 0.0))
         # Inactive-only rows would divide by zero; their shares are
@@ -105,8 +117,8 @@ def _batch_water_fill(
         )
         deficit = work - served
         finishing = active & (deficit <= shares + _EPS) & live[:, None]
-        granting = finishing.any(axis=1)
-        if granting.any():
+        granting = any_of(finishing, axis=1)
+        if any_of(granting):
             # Fully serve the finishing sessions of granting rows and
             # redistribute their surplus on the next round.
             grants = np.where(finishing, deficit, 0.0)
@@ -116,7 +128,7 @@ def _batch_water_fill(
             )
             active &= ~finishing
         flat = live & ~granting
-        if flat.any():
+        if any_of(flat):
             # Rows whose active sessions all absorb their full share:
             # spend the rest of the capacity proportionally and stop.
             served = np.where(
@@ -124,6 +136,31 @@ def _batch_water_fill(
             )
             remaining = np.where(flat, 0.0, remaining)
     return served
+
+
+def _step_slot(
+    backlog: np.ndarray,
+    arrivals: np.ndarray,
+    phis: np.ndarray,
+    capacities: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One slot of the fluid GPS recursion over stacked ``(B, N)`` rows.
+
+    Returns ``(served, new_backlog)``.  The one slot update shared by
+    :class:`BatchFluidGPSServer` and the network simulator; inputs are
+    unchecked, as for :func:`_batch_water_fill`, which is looked up in
+    this module's globals at call time so tracing can wrap it.
+    """
+    work = backlog + arrivals
+    served = _batch_water_fill(work, phis, capacities)
+    # np.clip(x, 0.0, None) is this same ufunc call behind a wrapper.
+    return served, np.maximum(work - served, 0.0)
+
+
+def _check_arrivals(arr: np.ndarray) -> None:
+    """Reject negative or non-finite arrivals (NaN fails ``>= 0``)."""
+    if not (np.all(arr >= 0.0) and np.all(np.isfinite(arr))):
+        raise ValidationError("arrivals must be finite and non-negative")
 
 
 def gps_slot_allocation(
@@ -570,8 +607,7 @@ class BatchFluidGPSServer:
                 f"arrivals must have shape (B, {self.num_sessions}), "
                 f"got {arr.shape}"
             )
-        if np.any(arr < 0.0):
-            raise ValidationError("arrivals must be non-negative")
+        _check_arrivals(arr)
         if self._backlog is None:
             self._backlog = np.zeros_like(arr)
         elif self._backlog.shape != arr.shape:
@@ -594,9 +630,9 @@ class BatchFluidGPSServer:
     def _step_fast(
         self, arrivals: np.ndarray, capacities: np.ndarray
     ) -> np.ndarray:
-        work = self._backlog + arrivals
-        served = _batch_water_fill(work, self._phis, capacities)
-        self._backlog = np.clip(work - served, 0.0, None)
+        served, self._backlog = _step_slot(
+            self._backlog, arrivals, self._phis, capacities
+        )
         return served
 
     def run(
@@ -623,8 +659,7 @@ class BatchFluidGPSServer:
                 f"arrivals must have shape (B, {self.num_sessions}, T), "
                 f"got {arr.shape}"
             )
-        if np.any(arr < 0.0):
-            raise ValidationError("arrivals must be non-negative")
+        _check_arrivals(arr)
         num_trials, _, num_slots = arr.shape
         if num_trials == 0 or num_slots == 0:
             raise ValidationError(
@@ -722,8 +757,7 @@ class FluidGPSServer(BatchFluidGPSServer):
                 f"expected {self.num_sessions} arrival entries, got "
                 f"shape {arr.shape}"
             )
-        if np.any(arr < 0.0):
-            raise ValidationError("arrivals must be non-negative")
+        _check_arrivals(arr)
         if capacity is None:
             capacity = self._rate
         elif not np.isfinite(capacity) or capacity < 0.0:

@@ -1,16 +1,27 @@
 """Slot-stepped simulation of a network of fluid GPS servers.
 
-Each node of a :class:`repro.network.topology.Network` runs a
-:class:`repro.sim.fluid.FluidGPSServer` over the sessions traversing
-it; a session's departures at one hop become its arrivals at the next.
+Every node of a :class:`repro.network.topology.Network` is a fluid GPS
+server over the sessions traversing it; a session's departures at one
+hop become its arrivals at the next.
+
+Nodes are stepped in *levels*.  Nodes of one level never feed each
+other within a slot, so each level keeps its state in zero-padded
+``(R nodes, M sessions)`` arrays, one row per node carrying that node's
+own weights, and a level-slot is one call of the shared slot update
+:func:`repro.sim.fluid._step_slot`.  The water-fill kernel's rows are
+independent and it ignores zero-work padding, so every node's trace is
+bit-for-bit what a per-node server would produce.  Served traffic moves
+between levels along fixed index arrays.
 
 Two propagation modes:
 
-* ``link_delay=0`` (default for feedforward networks): nodes are
-  stepped in topological order so traffic can traverse the whole route
-  within one slot — matching the paper's zero-propagation fluid model.
+* ``link_delay=0`` (default for feedforward networks): a level is the
+  set of nodes at one depth of the route graph, and the levels are
+  stepped in depth order so traffic can traverse the whole route within
+  one slot — matching the paper's zero-propagation fluid model.
 * ``link_delay>=1``: departures reach the next hop ``link_delay`` slots
-  later; required for (and valid on) cyclic route graphs.
+  later, so no node feeds another within a slot and all nodes form one
+  level; required for (and valid on) cyclic route graphs.
 
 The result object exposes per-session network backlog ``Q_i^net`` and
 end-to-end clearing delays ``D_i^net`` — the quantities bounded by
@@ -25,9 +36,9 @@ import networkx as nx
 import numpy as np
 
 from repro.errors import SimulationFaultError, ValidationError
-from repro.faults.schedule import FaultSchedule
+from repro.faults.schedule import FaultSchedule, LinkFault
 from repro.network.topology import Network
-from repro.sim.fluid import FluidGPSServer, clearing_delays
+from repro.sim.fluid import _step_slot, clearing_delays
 from repro.sim.results import to_jsonable
 
 __all__ = ["NetworkSimResult", "FluidNetworkSimulator"]
@@ -126,6 +137,31 @@ class NetworkSimResult:
         return payload
 
 
+@dataclass(frozen=True)
+class _Forward:
+    """The hops from one level into another, as fixed index arrays.
+
+    ``source`` holds flat ``row * M + col`` positions in the sending
+    level's ``(R, M)`` state, ``dest`` the matching positions in level
+    ``target``; ``edges`` names each hop's ``(session, sending node)``
+    for link-fault lookups.
+    """
+
+    target: int
+    source: np.ndarray
+    dest: np.ndarray
+    edges: tuple[tuple[str, str], ...]
+
+
+@dataclass(frozen=True)
+class _Level:
+    """Nodes stepped together: rows of a zero-padded ``(R, M)`` state."""
+
+    nodes: tuple[str, ...]
+    phis: np.ndarray
+    forwards: tuple[_Forward, ...]
+
+
 class FluidNetworkSimulator:
     """Simulate a network of fluid GPS servers slot by slot.
 
@@ -157,12 +193,13 @@ class FluidNetworkSimulator:
                 "use link_delay >= 1 for cyclic route graphs"
             )
         self._link_delay = link_delay
-        # Per-node session order (fixed) and servers.
+        # Per-node session order (fixed); it is each node's row order.
         self._node_sessions = {
             name: [s.name for s in network.sessions_at(name)]
             for name in network.nodes
         }
         self._node_order = self._processing_order()
+        self._levels, self._positions = self._build_levels()
 
     def _processing_order(self) -> list[str]:
         names = [
@@ -176,149 +213,295 @@ class FluidNetworkSimulator:
         order = list(nx.topological_sort(graph))
         return [name for name in order if name in names]
 
-    # ------------------------------------------------------------------
-    def run(
-        self, external_arrivals: dict[str, np.ndarray]
-    ) -> NetworkSimResult:
-        """Simulate; ``external_arrivals`` maps every session name to a
-        per-slot ingress array (all the same length)."""
+    def _level_nodes(self) -> list[list[str]]:
+        if self._link_delay > 0:
+            return [list(self._node_order)]
+        rank = {name: k for k, name in enumerate(self._node_order)}
+        levels = []
+        for generation in nx.topological_generations(
+            self._network.route_graph()
+        ):
+            nodes = sorted(
+                (name for name in generation if name in rank),
+                key=rank.__getitem__,
+            )
+            if nodes:
+                levels.append(nodes)
+        return levels
+
+    def _build_levels(
+        self,
+    ) -> tuple[list[_Level], dict[tuple[str, str], tuple[int, int]]]:
+        """Lay the nodes out as levels and wire the hops between them.
+
+        Returns the levels and each ``(session, node)``'s ``(level,
+        flat position)``.
+        """
         network = self._network
-        sessions = {s.name: s for s in network.sessions}
+        level_nodes = self._level_nodes()
+        positions: dict[tuple[str, str], tuple[int, int]] = {}
+        all_phis = []
+        for index, nodes in enumerate(level_nodes):
+            width = max(len(self._node_sessions[n]) for n in nodes)
+            phis = np.zeros((len(nodes), width))
+            for row, node in enumerate(nodes):
+                for col, name in enumerate(self._node_sessions[node]):
+                    phis[row, col] = network.session(name).phi_at(node)
+                    positions[(name, node)] = (index, row * width + col)
+            all_phis.append(phis)
+        hops: dict[tuple[int, int], list] = {}
+        for session in network.sessions:
+            for here, there in zip(session.route, session.route[1:]):
+                src_level, src = positions[(session.name, here)]
+                dst_level, dst = positions[(session.name, there)]
+                if self._link_delay == 0 and dst_level <= src_level:
+                    raise SimulationFaultError(
+                        f"session {session.name!r} hops {here!r} -> "
+                        f"{there!r} within one slot but not to a later "
+                        "level; the level order is inconsistent"
+                    )
+                hops.setdefault((src_level, dst_level), []).append(
+                    (src, dst, (session.name, here))
+                )
+        levels = []
+        for index, nodes in enumerate(level_nodes):
+            forwards = tuple(
+                _Forward(
+                    target=target,
+                    source=np.array([src for src, _, _ in group]),
+                    dest=np.array([dst for _, dst, _ in group]),
+                    edges=tuple(edge for _, _, edge in group),
+                )
+                for (level, target), group in sorted(hops.items())
+                if level == index
+            )
+            levels.append(
+                _Level(tuple(nodes), all_phis[index], forwards)
+            )
+        return levels, positions
+
+    def _held_emissions(
+        self, num_slots: int
+    ) -> list[dict[int, dict[int, list[tuple[int, int]]]]]:
+        """Where link faults hold traffic, per level:
+        ``{slot: {forward index: [(hop position, due slot)]}}``.
+
+        A hop's traffic is held at slot ``t`` when
+        :meth:`FaultSchedule.link_delivery_time` puts its delivery after
+        ``t``; it is then due at the delivery slot plus the link delay,
+        and never before ``t + 1``.
+        """
+        link_faults: dict[str, list[LinkFault]] = {}
+        for fault in self._faults:
+            if isinstance(fault, LinkFault):
+                link_faults.setdefault(fault.node, []).append(fault)
+        held: list[dict] = [{} for _ in self._levels]
+        for index, level in enumerate(self._levels):
+            for which, forward in enumerate(level.forwards):
+                for position, (session, node) in enumerate(forward.edges):
+                    slots: set[int] = set()
+                    for fault in link_faults.get(node, ()):
+                        if fault.session in (None, session):
+                            slots.update(
+                                range(
+                                    max(0, int(np.ceil(fault.start))),
+                                    min(num_slots, int(np.ceil(fault.end))),
+                                )
+                            )
+                    for t in sorted(slots):
+                        delivery = self._faults.link_delivery_time(
+                            session, node, t
+                        )
+                        if delivery > t:
+                            due = int(np.ceil(delivery)) + self._link_delay
+                            held[index].setdefault(t, {}).setdefault(
+                                which, []
+                            ).append((position, max(due, t + 1)))
+        return held
+
+    # ------------------------------------------------------------------
+    def _checked_arrivals(
+        self, external_arrivals: dict[str, np.ndarray]
+    ) -> dict[str, np.ndarray]:
+        sessions = [s.name for s in self._network.sessions]
         if set(external_arrivals) != set(sessions):
             raise ValidationError(
                 "external_arrivals must cover exactly the network "
                 f"sessions {sorted(sessions)}, got "
                 f"{sorted(external_arrivals)}"
             )
-        lengths = {arr.shape[0] for arr in external_arrivals.values()}
+        arrays = {}
+        for name, arr in external_arrivals.items():
+            try:
+                arrays[name] = np.asarray(arr, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(
+                    f"arrivals of session {name!r} are not a numeric "
+                    f"array: {exc}"
+                ) from None
+            if arrays[name].ndim != 1:
+                raise ValidationError(
+                    f"arrivals of session {name!r} must be 1-D (one "
+                    f"entry per slot), got shape {arrays[name].shape}"
+                )
+        lengths = {arr.shape[0] for arr in arrays.values()}
         if len(lengths) != 1:
             raise ValidationError(
                 f"all arrival arrays must share a length, got {lengths}"
             )
-        (num_slots,) = lengths
-
-        faults = self._faults
-        if faults.has_burst_faults:
-            external_arrivals = {
-                name: faults.adjusted_arrivals(name, arr)
-                for name, arr in external_arrivals.items()
+        if lengths == {0}:
+            raise ValidationError("need at least one slot, got 0")
+        if self._faults.has_burst_faults:
+            arrays = {
+                name: self._faults.adjusted_arrivals(name, arr)
+                for name, arr in arrays.items()
             }
-        capacities = {
-            name: faults.node_capacities(
-                name, network.nodes[name].rate, num_slots
-            )
-            for name in self._node_order
-        }
-
-        servers = {
-            name: FluidGPSServer(
-                rate=network.nodes[name].rate,
-                phis=[
-                    sessions[s].phi_at(name)
-                    for s in self._node_sessions[name]
-                ],
-            )
-            for name in self._node_order
-        }
-        # in_transit[(session, node)]: FIFO of (due_slot, amount)
-        # for link_delay >= 1 and for link-faulted traffic; for
-        # link_delay == 0 a same-slot buffer handles the healthy path.
-        pending: dict[tuple[str, str], list[tuple[int, float]]] = {}
-        node_backlog = {
-            (s, n): np.zeros(num_slots)
-            for n in self._node_order
-            for s in self._node_sessions[n]
-        }
-        node_served = {
-            key: np.zeros(num_slots) for key in node_backlog
-        }
-        egress = {name: np.zeros(num_slots) for name in sessions}
-
-        for t in range(num_slots):
-            same_slot: dict[tuple[str, str], float] = {}
-            for node_name in self._node_order:
-                local = self._node_sessions[node_name]
-                slot_arrivals = np.zeros(len(local))
-                for k, session_name in enumerate(local):
-                    session = sessions[session_name]
-                    if session.route[0] == node_name:
-                        slot_arrivals[k] += external_arrivals[
-                            session_name
-                        ][t]
-                    if self._link_delay == 0:
-                        slot_arrivals[k] += same_slot.pop(
-                            (session_name, node_name), 0.0
-                        )
-                    queue = pending.get((session_name, node_name))
-                    if queue:
-                        # Link faults can put a held blob (due at the
-                        # window end) ahead of later healthy traffic,
-                        # so scan the whole queue rather than the head.
-                        still_in_transit = []
-                        for due, amount in queue:
-                            if due <= t:
-                                slot_arrivals[k] += amount
-                            else:
-                                still_in_transit.append((due, amount))
-                        pending[(session_name, node_name)] = (
-                            still_in_transit
-                        )
-                served = servers[node_name].step(
-                    slot_arrivals, capacity=capacities[node_name][t]
+        for name, arr in arrays.items():
+            if not (np.all(arr >= 0.0) and np.all(np.isfinite(arr))):
+                raise ValidationError(
+                    f"arrivals of session {name!r} must be finite and "
+                    "non-negative"
                 )
-                backlog = servers[node_name].backlog
-                for k, session_name in enumerate(local):
-                    node_served[(session_name, node_name)][t] = served[k]
-                    node_backlog[(session_name, node_name)][t] = backlog[k]
-                    session = sessions[session_name]
-                    hop = session.hop_index(node_name)
-                    amount = float(served[k])
-                    if amount <= 0.0:
-                        continue
-                    if hop + 1 == session.num_hops:
-                        egress[session_name][t] += amount
-                    else:
-                        next_node = session.route[hop + 1]
-                        delivery = faults.link_delivery_time(
-                            session_name, node_name, t
-                        )
-                        if delivery > t:
-                            # Link down or delayed: hold the traffic
-                            # until the fault clears, then add the
-                            # nominal link latency.
-                            due = (
-                                int(np.ceil(delivery))
-                                + self._link_delay
-                            )
-                            pending.setdefault(
-                                (session_name, next_node), []
-                            ).append((max(due, t + 1), amount))
-                        elif self._link_delay == 0:
-                            same_slot[(session_name, next_node)] = (
-                                same_slot.get(
-                                    (session_name, next_node), 0.0
-                                )
-                                + amount
-                            )
-                        else:
-                            pending.setdefault(
-                                (session_name, next_node), []
-                            ).append((t + self._link_delay, amount))
-            if self._link_delay == 0 and same_slot:
-                leftovers = {k: v for k, v in same_slot.items() if v > 0}
-                if leftovers:
-                    raise SimulationFaultError(
-                        "same-slot traffic was not consumed; processing "
-                        f"order is inconsistent: {leftovers}"
-                    )
+        return arrays
+
+    def _checked_capacities(self, num_slots: int) -> dict[str, np.ndarray]:
+        capacities = {
+            name: self._faults.node_capacities(
+                name, self._network.nodes[name].rate, num_slots
+            )
+            for name in self._node_order
+        }
+        for name, caps in capacities.items():
+            if not (np.all(caps >= 0.0) and np.all(np.isfinite(caps))):
+                raise ValidationError(
+                    f"capacities of node {name!r} must be finite and "
+                    "non-negative"
+                )
+        return capacities
+
+    def run(
+        self, external_arrivals: dict[str, np.ndarray]
+    ) -> NetworkSimResult:
+        """Simulate; ``external_arrivals`` maps every session name to a
+        per-slot ingress array (all the same length, at least one
+        slot, finite and non-negative)."""
+        arrivals = self._checked_arrivals(external_arrivals)
+        num_slots = next(iter(arrivals.values())).size
+        capacities = self._checked_capacities(num_slots)
+        served, backlog = self._simulate(arrivals, capacities, num_slots)
+        node_backlog = {}
+        node_served = {}
+        for node in self._node_order:
+            for name in self._node_sessions[node]:
+                index, position = self._positions[(name, node)]
+                node_backlog[(name, node)] = backlog[index][:, position].copy()
+                node_served[(name, node)] = served[index][:, position].copy()
+        faulted = len(self._faults) > 0
         return NetworkSimResult(
-            external_arrivals={
-                name: np.asarray(arr, dtype=float)
-                for name, arr in external_arrivals.items()
+            external_arrivals=arrivals,
+            egress={
+                s.name: node_served[(s.name, s.route[-1])].copy()
+                for s in self._network.sessions
             },
-            egress=egress,
             node_backlog=node_backlog,
             node_served=node_served,
-            node_capacities=capacities if len(faults) else None,
-            fault_schedule=faults if len(faults) else None,
+            node_capacities=capacities if faulted else None,
+            fault_schedule=self._faults if faulted else None,
         )
+
+    def _simulate(
+        self,
+        arrivals: dict[str, np.ndarray],
+        capacities: dict[str, np.ndarray],
+        num_slots: int,
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The slot loop: per level, ``(T, R * M)`` served and backlog."""
+        levels = self._levels
+        delay = self._link_delay
+        # Per level, inflow[t] is slot t's ingress plus forwarded
+        # traffic, shape (T, R * M); the kernel sees (R, M) views.
+        inflow = [np.zeros((num_slots, level.phis.size)) for level in levels]
+        for session in self._network.sessions:
+            index, position = self._positions[
+                (session.name, session.route[0])
+            ]
+            inflow[index][:, position] = arrivals[session.name]
+        served = [np.zeros_like(arr) for arr in inflow]
+        backlog = [np.zeros_like(arr) for arr in inflow]
+        plan = [
+            (
+                index,
+                level.phis,
+                inflow[index].reshape((num_slots,) + level.phis.shape),
+                np.stack([capacities[n] for n in level.nodes], axis=1),
+                served[index].reshape((num_slots,) + level.phis.shape),
+                backlog[index].reshape((num_slots,) + level.phis.shape),
+                level.forwards,
+            )
+            for index, level in enumerate(levels)
+        ]
+        state = [np.zeros(level.phis.shape) for level in levels]
+        held_out = (
+            self._held_emissions(num_slots)
+            if any(isinstance(f, LinkFault) for f in self._faults)
+            else None
+        )
+        # link_delay=0: traffic a link fault held, per level and due
+        # slot, added after that slot's same-slot traffic.
+        held_in: list[dict[int, list[tuple[int, float]]]] = [
+            {} for _ in levels
+        ]
+        for t in range(num_slots):
+            for (
+                index, phis, level_in, caps, out_tr, backlog_tr, forwards
+            ) in plan:
+                if held_in[index]:
+                    for position, amount in held_in[index].pop(t, ()):
+                        inflow[index][t, position] += amount
+                out, state[index] = _step_slot(
+                    state[index], level_in[t], phis, caps[t]
+                )
+                out_tr[t] = out
+                backlog_tr[t] = state[index]
+                held = held_out[index].get(t) if held_out else None
+                for which, forward in enumerate(forwards):
+                    amounts = out.take(forward.source)
+                    if held and which in held:
+                        self._hold(
+                            forward, held[which], amounts, inflow, held_in,
+                            num_slots,
+                        )
+                    if t + delay < num_slots:
+                        inflow[forward.target][t + delay, forward.dest] += (
+                            amounts
+                        )
+        return served, backlog
+
+    def _hold(
+        self,
+        forward: _Forward,
+        held: list[tuple[int, int]],
+        amounts: np.ndarray,
+        inflow: list[np.ndarray],
+        held_in: list[dict[int, list[tuple[int, float]]]],
+        num_slots: int,
+    ) -> None:
+        """Take the hops a link fault holds out of ``amounts``.
+
+        At ``link_delay=0`` a held amount waits in ``held_in`` so that
+        its due slot adds it after that slot's same-slot traffic; at
+        ``link_delay>=1`` nothing reaches a node in the slot it is
+        sent, so it joins the due slot's inflow now, in emission order.
+        """
+        for position, due in held:
+            amount = float(amounts[position])
+            amounts[position] = 0.0
+            if amount <= 0.0:
+                continue
+            dest = int(forward.dest[position])
+            if self._link_delay == 0:
+                held_in[forward.target].setdefault(due, []).append(
+                    (dest, amount)
+                )
+            elif due < num_slots:
+                inflow[forward.target][due, dest] += amount

@@ -55,6 +55,24 @@ class TestTable2:
         for a, b in zip(set1, set2):
             assert b.decay_rate < a.decay_rate
 
+    def test_computed_once_and_returned_as_a_fresh_list(self, monkeypatch):
+        from repro.experiments import paper_example
+
+        first = table2_characterizations(1)
+        monkeypatch.setattr(
+            paper_example,
+            "ebb_characterization",
+            lambda *args: pytest.fail("Table 2 was recomputed"),
+        )
+        second = table2_characterizations(1)
+        assert second == first and second is not first
+        second.clear()
+        assert table2_characterizations(1) == first
+
+    def test_unknown_set_rejected(self):
+        with pytest.raises(ValueError, match="parameter_set"):
+            table2_characterizations(3)
+
 
 class TestExampleNetwork:
     def test_figure2_topology(self):

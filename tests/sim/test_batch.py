@@ -98,6 +98,16 @@ class TestBatchFluidGPSServer:
         with pytest.raises(TypeError):
             BatchFluidGPSServer(1.0, [1.0, 1.0])  # noqa: missing kw
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_arrivals(self, bad):
+        server = BatchFluidGPSServer(rate=1.0, phis=[1.0, 1.0])
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            server.step(np.array([[0.2, 0.2], [0.2, bad]]))
+        arrivals = np.full((3, 2, 4), 0.2)
+        arrivals[2, 0, 3] = bad
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            server.run(arrivals)
+
     def test_run_matches_scalar_server_bitwise(self):
         """The headline equivalence: every trial of a batched run is
         byte-identical to a scalar run of the same sample path."""

@@ -114,6 +114,16 @@ class TestFluidGPSServer:
         with pytest.raises(ValueError):
             server.step([1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_arrivals(self, bad):
+        server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
+        with pytest.raises(ValidationError, match="finite"):
+            server.step([0.5, bad])
+        arrivals = np.full((2, 5), 0.3)
+        arrivals[1, 2] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            server.run(arrivals)
+
     def test_run_traces(self):
         server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
         arrivals = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
